@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence
 
 from . import codefile
 from .codes import (
+    KINDS,
     build_family,
     distance_distribution,
     fq_label,
@@ -97,24 +98,14 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _component_expected(ctx: FieldCtx, kind: str) -> Optional[int]:
-    big = (ctx.order - 1) ** 2 // (ctx.q - 1)
-    return {
-        "PI": big,
-        "J": big,
-        "A1": ctx.order - 1,
-        "A2": ctx.order - 1,
-        "ZERO": 1,
-    }.get(kind)
-
-
 def cmd_verify(args) -> int:
     code = codefile.load_code(args.file)
     ctx = code.ctx
     comp_checks = []
     comps_ok = True
     for c in code.components:
-        expected = _component_expected(ctx, c.kind)
+        spec = KINDS.get(c.kind)
+        expected = spec.size(ctx) if spec is not None else None
         ok = expected is None or len(c.words) == expected
         comps_ok &= ok
         comp_checks.append(
@@ -183,23 +174,9 @@ def cmd_geometry(args) -> int:
     payload["cyclic_summands_span"] = ge.cyclic_summands_span(ctx)
     ok &= red.ok and payload["cyclic_summands_span"]
     if args.points:
-        from .codes import build_J, build_pi
-
-        sets = {
-            "A1": [(1,) + (0,) * (ctx.m - 1)],
-            "A2": [(0,) * (ctx.m - 1) + (1,)],
-        }
-        for a in I:
-            sets[f"PI({fq_label(ctx, a)})"] = sorted(
-                ge.proj_image(ctx, build_pi(ctx, a))
-            )
-        for b in [e for e in ctx.fq_elems[1:] if e not in set(I)]:
-            sets[f"J({fq_label(ctx, b)})"] = sorted(
-                ge.proj_image(ctx, build_J(ctx, b))
-            )
         payload["points"] = {
-            name: [codefile.word_to_lists(ctx, p) for p in pts]
-            for name, pts in sets.items()
+            name: [codefile.word_to_lists(ctx, p) for p in sorted(pts)]
+            for name, pts in ge.component_images(ctx, I)
         }
     payload["ok"] = ok
     _emit(args, payload)

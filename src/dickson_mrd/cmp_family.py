@@ -23,16 +23,19 @@ the Z(a) image (the two agree only at a = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Sequence, Tuple
 
 from .gfield import FieldCtx
 from .codes import (
+    KINDS,
     Component,
     MrdReport,
     RankCode,
+    _check_fq_param,
     build_axis,
     build_family,
     fq_label,
+    split_params,
     verify_mrd,
 )
 from .geometry import ProjPoint, exterior_splash, line_through, proj_image
@@ -44,18 +47,11 @@ def _require_plane(ctx: FieldCtx) -> None:
         raise ValueError("this construction needs m = 3")
 
 
-def _check_param(ctx: FieldCtx, a: int) -> None:
-    if a == 0:
-        raise ValueError("parameter must be nonzero")
-    if not ctx.in_fq(a):
-        raise ValueError("parameter must lie in F_q")
-
-
 def build_gamma(ctx: FieldCtx, a: int) -> FrozenSet[Word]:
     """Tuples (c, c x^(q+1), c x^q) over nonzero c and x in the norm fiber
     of a; size (q^3 - 1)^2 / (q - 1)."""
     _require_plane(ctx)
-    _check_param(ctx, a)
+    _check_fq_param(ctx, a)
     q = ctx.q
     mul, powf = ctx.mul, ctx.pow
     out = set()
@@ -74,7 +70,7 @@ def build_Z(ctx: FieldCtx, b: int) -> FrozenSet[Word]:
     """Tuples (c x, -c beta x^q, 0) with beta the first norm-fiber element
     over b; size (q^3 - 1)^2 / (q - 1)."""
     _require_plane(ctx)
-    _check_param(ctx, b)
+    _check_fq_param(ctx, b)
     beta = ctx.norm_fiber(b)[0]
     q, s = ctx.q, ctx.subfield_index
     mul, powf, neg, exp = ctx.mul, ctx.pow, ctx.neg, ctx.exp
@@ -96,45 +92,23 @@ def build_axis_mid(ctx: FieldCtx) -> FrozenSet[Word]:
     return frozenset((0, x, 0) for x in ctx.nonzero())
 
 
-@dataclass(frozen=True)
-class CmpFamily:
-    """The curve-model family: gamma(a) for a in I, Z(b) for the remaining
-    nonzero b, A1, A2' and zero; q^6 tuples in total."""
-
-    ctx: FieldCtx
-    I: Tuple[int, ...]
-    components: Tuple[Tuple[str, Optional[int], FrozenSet[Word]], ...]
-    words: FrozenSet[Word]
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
-
-def build_cmp_family(ctx: FieldCtx, I: Sequence[int]) -> CmpFamily:
+def build_cmp_family(ctx: FieldCtx, I: Sequence[int]) -> RankCode:
+    """The curve-model family: GAMMA(a) for a in I, Z(b) for the remaining
+    nonzero b, A1, A2P (the A2' axis) and zero; q^6 tuples in total."""
     _require_plane(ctx)
     if ctx.q <= 2:
         raise ValueError("q must exceed 2")
-    iset = sorted(set(I), key=ctx.fq_index)
+    iset, rest = split_params(ctx, I)
     if not iset:
         raise ValueError("I must be nonempty")
-    for a in iset:
-        if a in (0, 1) or not ctx.in_fq(a):
-            raise ValueError("I must be a subset of F_q minus {0, 1}")
-    comps: List[Tuple[str, Optional[int], FrozenSet[Word]]] = []
-    for a in iset:
-        comps.append(("GAMMA", a, build_gamma(ctx, a)))
-    for b in [e for e in ctx.fq_elems[1:] if e not in set(iset)]:
-        comps.append(("Z", b, build_Z(ctx, b)))
-    comps.append(("A1", None, build_axis(ctx, 1)))
-    comps.append(("A2P", None, build_axis_mid(ctx)))
-    comps.append(("ZERO", None, frozenset([zero_word(ctx)])))
-    words: Set[Word] = set()
-    for _, _, ws in comps:
-        if words & ws:
-            raise RuntimeError("curve-family components overlap")
-        words |= ws
-    fam = CmpFamily(ctx, tuple(iset), tuple(comps), frozenset(words))
+    comps = (
+        [Component("GAMMA", a, build_gamma(ctx, a)) for a in iset]
+        + [Component("Z", b, build_Z(ctx, b)) for b in rest]
+        + [Component("A1", None, build_axis(ctx, 1)),
+           Component("A2P", None, build_axis_mid(ctx)),
+           Component("ZERO", None, frozenset([zero_word(ctx)]))]
+    )
+    fam = RankCode.assemble(ctx, 2, comps)
     if fam.size != ctx.q ** 6:
         raise RuntimeError("curve family has unexpected size")
     return fam
@@ -151,27 +125,17 @@ def theta(ctx: FieldCtx, v: Sequence[int]) -> Tuple[int, int, int]:
 _THETA_KIND = {"GAMMA": "PI", "Z": "J", "A1": "A2", "A2P": "A1", "ZERO": "ZERO"}
 
 
-def theta_image_code(ctx: FieldCtx, fam: CmpFamily) -> RankCode:
+def theta_image_code(ctx: FieldCtx, fam: RankCode) -> RankCode:
     """Apply theta tuplewise and retag: gamma(a) -> pi(1/a), Z(b) -> J(1/b),
     A1 <-> A2'.  The result carries orbit representatives, so the orbit
     distance mode applies."""
-    from .codes import j_generator, pi_generator
-
     comps = []
-    for kind, a, words in fam.components:
-        mapped = frozenset(theta(ctx, w) for w in words)
-        new_kind = _THETA_KIND[kind]
-        if kind in ("GAMMA", "Z"):
-            inv_a = ctx.inv(a)
-            rep = pi_generator(ctx, inv_a) if new_kind == "PI" else j_generator(ctx, inv_a)
-            comps.append(Component(new_kind, inv_a, mapped, rep))
-        elif new_kind == "A1":
-            comps.append(Component("A1", None, mapped, (1, 0, 0)))
-        elif new_kind == "A2":
-            comps.append(Component("A2", None, mapped, (0, 0, 1)))
-        else:
-            comps.append(Component("ZERO", None, mapped, zero_word(ctx)))
-    order = {"PI": 0, "J": 1, "A1": 2, "A2": 3, "ZERO": 4}
+    for c in fam.components:
+        kind = _THETA_KIND[c.kind]
+        a = ctx.inv(c.a) if c.a is not None else None
+        mapped = frozenset(theta(ctx, w) for w in c.words)
+        comps.append(Component(kind, a, mapped, KINDS[kind].generator(ctx, a)))
+    order = {kind: i for i, kind in enumerate(KINDS)}
     comps.sort(key=lambda c: (order[c.kind], ctx.fq_index(c.a) if c.a is not None else 0))
     return RankCode.assemble(ctx, 2, comps)
 
@@ -205,7 +169,8 @@ def verify_family_match(ctx: FieldCtx, I: Sequence[int], threads: int = 1) -> Fa
     the image is independently re-verified as a maximal distance-2 code."""
     fam = build_cmp_family(ctx, I)
     image = theta_image_code(ctx, fam)
-    inv_I = sorted((ctx.inv(a) for a in fam.I), key=ctx.fq_index)
+    fam_I = [c.a for c in fam.components if c.kind == "GAMMA"]
+    inv_I = sorted((ctx.inv(a) for a in fam_I), key=ctx.fq_index)
     target = build_family(ctx, inv_I)
     by_tag_img = {c.tag(ctx): c.words for c in image.components}
     by_tag_tgt = {c.tag(ctx): c.words for c in target.components}
@@ -215,7 +180,7 @@ def verify_family_match(ctx: FieldCtx, I: Sequence[int], threads: int = 1) -> Fa
     }
     report = verify_mrd(image, mode="orbit", threads=threads)
     return FamilyMatchReport(
-        I=tuple(fq_label(ctx, a) for a in fam.I),
+        I=tuple(fq_label(ctx, a) for a in fam_I),
         inverse_I=tuple(fq_label(ctx, a) for a in inv_I),
         component_matches=matches,
         set_equal=image.words == target.words,
@@ -291,7 +256,7 @@ def verify_curve_splash(ctx: FieldCtx, a: int) -> CurveSplashReport:
     image; also check theta carries it onto the splash of the pi(1/a)
     image on the line X2 = 0."""
     _require_plane(ctx)
-    _check_param(ctx, a)
+    _check_fq_param(ctx, a)
     from .codes import build_pi
 
     u_line = line_through(ctx, (1, 0, 0), (0, 1, 0))

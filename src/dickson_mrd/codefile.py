@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from .gfield import FieldCtx, make_field
-from .codes import Component, RankCode
+from .codes import Component, RankCode, checked_orbit_rep
 from .linforms import Word
 
 CODE_FORMAT = "rank-code/v1"
@@ -38,12 +38,15 @@ def read_json(path: Union[str, Path]):
 # fields and elements
 # ----------------------------------------------------------------------
 
-def field_to_dict(ctx: FieldCtx) -> dict:
-    return ctx.describe()
+def _require(d: dict, key: str):
+    if key not in d:
+        raise ValueError(f"missing key {key!r}")
+    return d[key]
 
 
 def field_from_dict(d: dict) -> FieldCtx:
-    return make_field(int(d["p"]), int(d["h"]), int(d["m"]), d["modulus"])
+    p, h, m = (int(_require(d, key)) for key in ("p", "h", "m"))
+    return make_field(p, h, m, _require(d, "modulus"))
 
 
 def element_to_list(ctx: FieldCtx, x: int) -> List[int]:
@@ -75,7 +78,7 @@ def code_to_dict(code: RankCode) -> dict:
     ]
     return {
         "format": CODE_FORMAT,
-        "field": field_to_dict(ctx),
+        "field": ctx.describe(),
         "params": {
             "m": ctx.m,
             "q": ctx.q,
@@ -96,37 +99,22 @@ def code_to_dict(code: RankCode) -> dict:
 def code_from_dict(d: dict) -> RankCode:
     """Rebuild a code from its file form.
 
-    Orbit representatives are re-derived from the component kind; a
-    representative that is missing from the (possibly tampered) word list
-    downgrades the component to plain membership, so verification can still
-    run and report the damage instead of failing to load.
+    A missing key raises ValueError.  A component keeps its kind's orbit
+    representative only if its words are exactly that kind's orbit (see
+    `checked_orbit_rep`); otherwise it is downgraded to plain membership,
+    so a tampered file still loads and verification falls back to brute
+    force and reports the damage.
     """
-    from .codes import j_generator, pi_generator
-
     if d.get("format") != CODE_FORMAT:
         raise ValueError(f"unsupported file format {d.get('format')!r}")
-    ctx = field_from_dict(d["field"])
-    params = d["params"]
-    claimed = int(params["claimed_distance"])
+    ctx = field_from_dict(_require(d, "field"))
+    claimed = int(_require(_require(d, "params"), "claimed_distance"))
     comps = []
-    for cd in d["components"]:
-        kind = cd["kind"]
+    for cd in _require(d, "components"):
+        kind = _require(cd, "kind")
         a = element_from_list(ctx, cd["a"]) if cd.get("a") is not None else None
-        words = frozenset(word_from_lists(ctx, w) for w in cd["words"])
-        rep: Optional[Word] = None
-        if kind == "PI" and a is not None:
-            rep = pi_generator(ctx, a)
-        elif kind == "J" and a is not None:
-            rep = j_generator(ctx, a)
-        elif kind == "A1":
-            rep = (1,) + (0,) * (ctx.m - 1)
-        elif kind == "A2":
-            rep = (0,) * (ctx.m - 1) + (1,)
-        elif kind == "ZERO":
-            rep = (0,) * ctx.m
-        if rep is not None and rep not in words:
-            rep = None
-        comps.append(Component(kind, a, words, rep))
+        words = frozenset(word_from_lists(ctx, w) for w in _require(cd, "words"))
+        comps.append(Component(kind, a, words, checked_orbit_rep(ctx, kind, a, words)))
     words_union: set = set()
     for c in comps:
         if words_union & c.words:

@@ -25,7 +25,7 @@ import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import multiprocessing
 
@@ -41,9 +41,10 @@ from .linforms import (
 
 @dataclass(frozen=True)
 class Component:
-    """One tagged piece of a code.  kind is PI, J, A1, A2, ZERO or OTHER;
-    `a` is the F_q parameter for PI/J; orbit_rep is set when the component
-    is a single Singer-pair orbit."""
+    """One tagged piece of a code.  kind is a `KINDS` key, OTHER, or a
+    curve-model kind (see cmp_family); `a` is the F_q parameter of a
+    parametrized kind; orbit_rep is set when the component is a single
+    Singer-pair orbit."""
 
     kind: str
     a: Optional[int]
@@ -133,11 +134,22 @@ def singleton_bound(q: int, m: int, d: int) -> int:
 # component construction
 # ----------------------------------------------------------------------
 
-def _check_fq_param(ctx: FieldCtx, a: int) -> None:
-    if a == 0:
+def _check_fq_param(ctx: FieldCtx, a: Optional[int]) -> None:
+    if not a:
         raise ValueError("parameter must be nonzero")
     if not ctx.in_fq(a):
         raise ValueError("parameter must lie in the subfield F_q")
+
+
+def split_params(ctx: FieldCtx, I: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(I in subfield order, the nonzero elements of F_q outside I).
+    I must be a subset of F_q minus {0, 1}."""
+    iset = set(I)
+    for a in iset:
+        if a in (0, 1) or not ctx.in_fq(a):
+            raise ValueError("I must be a subset of F_q minus {0, 1}")
+    rest = [b for b in ctx.fq_elems[1:] if b not in iset]
+    return sorted(iset, key=ctx.fq_index), rest
 
 
 def pi_generator(ctx: FieldCtx, a: int) -> Word:
@@ -214,19 +226,60 @@ def build_axis(ctx: FieldCtx, i: int) -> FrozenSet[Word]:
     return frozenset((0,) * (m - 1) + (x,) for x in ctx.nonzero())
 
 
-def _family_components(ctx: FieldCtx, I: Sequence[int]) -> List[Component]:
-    m = ctx.m
-    iset = sorted(set(I), key=ctx.fq_index)
-    comps: List[Component] = []
-    for a in iset:
-        comps.append(Component("PI", a, build_pi(ctx, a), pi_generator(ctx, a)))
-    for b in [e for e in ctx.fq_elems[1:] if e not in set(iset)]:
-        comps.append(Component("J", b, build_J(ctx, b), j_generator(ctx, b)))
-    comps.append(Component("A1", None, build_axis(ctx, 1), (1,) + (0,) * (m - 1)))
-    comps.append(Component("A2", None, build_axis(ctx, 2), (0,) * (m - 1) + (1,)))
-    zw = zero_word(ctx)
-    comps.append(Component("ZERO", None, frozenset([zw]), zw))
-    return comps
+def _pair_orbit_size(ctx: FieldCtx) -> int:
+    return (ctx.order - 1) ** 2 // (ctx.q - 1)
+
+
+class KindSpec(NamedTuple):
+    """What the family knows about one component kind: the generator of its
+    Singer-pair orbit, the builder of the whole orbit, and the orbit size.
+    PI and J take their F_q parameter `a`; the other kinds ignore it."""
+
+    generator: Callable[[FieldCtx, Optional[int]], Word]
+    build: Callable[[FieldCtx, Optional[int]], FrozenSet[Word]]
+    size: Callable[[FieldCtx], int]
+
+
+# In family component order.
+KINDS: Dict[str, KindSpec] = {
+    "PI": KindSpec(pi_generator, build_pi, _pair_orbit_size),
+    "J": KindSpec(j_generator, build_J, _pair_orbit_size),
+    "A1": KindSpec(lambda ctx, a: (1,) + (0,) * (ctx.m - 1),
+                   lambda ctx, a: build_axis(ctx, 1), lambda ctx: ctx.order - 1),
+    "A2": KindSpec(lambda ctx, a: (0,) * (ctx.m - 1) + (1,),
+                   lambda ctx, a: build_axis(ctx, 2), lambda ctx: ctx.order - 1),
+    "ZERO": KindSpec(lambda ctx, a: zero_word(ctx),
+                     lambda ctx, a: frozenset([zero_word(ctx)]), lambda ctx: 1),
+}
+
+
+def kind_component(ctx: FieldCtx, kind: str, a: Optional[int] = None) -> Component:
+    """The whole orbit of a registry kind, tagged with its generator."""
+    spec = KINDS[kind]
+    return Component(kind, a, spec.build(ctx, a), spec.generator(ctx, a))
+
+
+def checked_orbit_rep(ctx: FieldCtx, kind: str, a: Optional[int],
+                      words: FrozenSet[Word]) -> Optional[Word]:
+    """The generator of `kind` if `words` is exactly its Singer-pair orbit,
+    else None.  A set that contains the generator, is closed under
+    w -> g*w and w -> (w_k g^(q^k))_k, and has the orbit's size is that
+    orbit, since the two maps generate the action."""
+    spec = KINDS.get(kind)
+    if spec is None:
+        return None
+    rep = spec.generator(ctx, a)
+    if rep not in words or len(words) != spec.size(ctx):
+        return None
+    elems = range(ctx.order)
+    scale = [ctx.mul(ctx.g, x) for x in elems]
+    twist = [[ctx.mul(ctx.frobenius(ctx.g, k), x) for x in elems] for k in range(ctx.m)]
+    closed = all(
+        tuple(map(scale.__getitem__, w)) in words
+        and tuple(map(list.__getitem__, twist, w)) in words
+        for w in words
+    )
+    return rep if closed else None
 
 
 def build_family(ctx: FieldCtx, I: Sequence[int]) -> RankCode:
@@ -241,13 +294,13 @@ def build_family(ctx: FieldCtx, I: Sequence[int]) -> RankCode:
         raise ValueError("q must exceed 2")
     if ctx.m < 3:
         raise ValueError("m must be at least 3")
-    iset = set(I)
-    for a in iset:
-        if a == 0 or a == 1 or not ctx.in_fq(a):
-            raise ValueError("I must be a subset of F_q minus {0, 1}")
+    iset, rest = split_params(ctx, I)
     if not iset:
         warnings.warn("empty I: the family degenerates to a linear code")
-    code = RankCode.assemble(ctx, ctx.m - 1, _family_components(ctx, iset))
+    params = {"PI": iset, "J": rest}
+    comps = [kind_component(ctx, kind, a)
+             for kind in KINDS for a in params.get(kind, [None])]
+    code = RankCode.assemble(ctx, ctx.m - 1, comps)
     if code.size != ctx.q ** (2 * ctx.m):
         raise RuntimeError("family has unexpected size")
     return code
@@ -270,10 +323,6 @@ def build_gabidulin(ctx: FieldCtx, s: int) -> RankCode:
 # ----------------------------------------------------------------------
 # distance computations
 # ----------------------------------------------------------------------
-
-def _word_matrix(ctx: FieldCtx, w: Word) -> List[List[int]]:
-    return linmap_fq_matrix(ctx, w)
-
 
 def _rank_of(rows: List[List[int]], m: int, add, mul, neg, inv) -> int:
     rank = 0
@@ -333,7 +382,7 @@ def _stripe(args):
 
 def _all_pairs(code: RankCode, mode: str, threads: int):
     ctx = code.ctx
-    mats = [_word_matrix(ctx, w) for w in sorted(code.words)]
+    mats = [linmap_fq_matrix(ctx, w) for w in sorted(code.words)]
     if threads <= 1:
         _PAR_STATE.update(mats=mats, ctx=ctx)
         try:
@@ -369,8 +418,8 @@ def min_distance(code: RankCode, mode: str = "bruteforce", threads: int = 1) -> 
     m = ctx.m
     add, mul, neg, inv, sub = ctx.fq_add, ctx.fq_mul, ctx.fq_neg, ctx.fq_inv, ctx.fq_sub
     comp_mats = [
-        (comp, _word_matrix(ctx, comp.orbit_rep),
-         [(w, _word_matrix(ctx, w)) for w in sorted(comp.words)])
+        (comp, linmap_fq_matrix(ctx, comp.orbit_rep),
+         [(w, linmap_fq_matrix(ctx, w)) for w in sorted(comp.words)])
         for comp in code.components
     ]
     best = m

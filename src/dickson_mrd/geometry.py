@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
+from .codes import KINDS, build_J, build_pi, fq_label, kind_component, split_params
 from .gfield import FieldCtx
 from .linalg import fq_rank, mat_inv, mat_mul, mat_rank, mat_transpose, mat_vec
 from .linforms import Word, dickson, word_scale
@@ -128,16 +129,6 @@ def singer_change_of_basis(ctx: FieldCtx):
         for r in range(m)
     )
     return c, mat_inv(ctx, c)
-
-
-def u_to_singer(ctx: FieldCtx, v: Sequence[int]) -> Tuple[int, ...]:
-    c, _ = singer_change_of_basis(ctx)
-    return mat_vec(ctx, c, v)
-
-
-def singer_to_u(ctx: FieldCtx, w: Sequence[int]) -> Tuple[int, ...]:
-    _, cinv = singer_change_of_basis(ctx)
-    return mat_vec(ctx, cinv, w)
 
 
 def field_reduce(ctx: FieldCtx, v: Sequence[int]) -> TensorMat:
@@ -378,8 +369,6 @@ def hyperregulus(ctx: FieldCtx, a: int) -> HyperregulusReport:
     N(y) = (-1)^m * a, which for a = 1 is the classical norm-surface
     condition.
     """
-    from .codes import build_J
-
     if a == 0:
         raise ValueError("parameter must be nonzero")
     component = build_J(ctx, a)
@@ -464,34 +453,26 @@ class ProjectiveDecompositionReport:
         }
 
 
-def verify_projective_decomposition(ctx: FieldCtx, I: Sequence[int]) -> ProjectiveDecompositionReport:
-    from .codes import build_J, build_pi, fq_label
+def component_images(ctx: FieldCtx, I: Sequence[int]) -> List[Tuple[str, FrozenSet[ProjPoint]]]:
+    """(tag, image in PG(m-1, q^m)) of the family's nonzero components:
+    A1, A2, then pi(a) for a in I and J(b) for the remaining nonzero b."""
+    iset, rest = split_params(ctx, I)
+    named = [("A1", None), ("A2", None)] + [("PI", a) for a in iset] + [("J", b) for b in rest]
+    comps = [kind_component(ctx, kind, a) for kind, a in named]
+    return [(c.tag(ctx), proj_image(ctx, c.words)) for c in comps]
 
-    iset = sorted(set(I), key=ctx.fq_index)
-    if not iset:
+
+def verify_projective_decomposition(ctx: FieldCtx, I: Sequence[int]) -> ProjectiveDecompositionReport:
+    if not split_params(ctx, I)[0]:
         raise ValueError("I must be nonempty")
-    for a in iset:
-        if a in (0, 1) or not ctx.in_fq(a):
-            raise ValueError("I must be a subset of F_q minus {0, 1}")
     m = ctx.m
-    a1 = proj_image(ctx, [(1,) + (0,) * (m - 1)])
-    a2 = proj_image(ctx, [(0,) * (m - 1) + (1,)])
-    named: List[Tuple[str, FrozenSet[ProjPoint]]] = [("A1", a1), ("A2", a2)]
-    for a in iset:
-        named.append((f"PI({fq_label(ctx, a)})", proj_image(ctx, build_pi(ctx, a))))
-    rest = [b for b in ctx.fq_elems[1:] if b not in set(iset)]
-    for b in rest:
-        named.append((f"J({fq_label(ctx, b)})", proj_image(ctx, build_J(ctx, b))))
+    named = component_images(ctx, I)
     per = (ctx.order - 1) // (ctx.q - 1)
     sizes = {name: len(pts) for name, pts in named}
     sizes_ok = all(
         len(pts) == (1 if name.startswith("A") else per) for name, pts in named
     )
     sets = [pts for _, pts in named]
-    inters = pairwise_intersections(sets)
-    disjoint = all(
-        inters[i][j] == 0 for i in range(len(sets)) for j in range(len(sets)) if i != j
-    )
     line = line_through(ctx, (1,) + (0,) * (m - 1), (0,) * (m - 1) + (1,))
     j_on_line = all(
         pts <= line for name, pts in named if name.startswith("J")
@@ -500,9 +481,9 @@ def verify_projective_decomposition(ctx: FieldCtx, I: Sequence[int]) -> Projecti
         component_sizes=sizes,
         expected_size=per,
         sizes_ok=sizes_ok,
-        disjoint=disjoint,
+        disjoint=all_disjoint(sets),
         j_on_line=j_on_line,
-        intersections=inters,
+        intersections=pairwise_intersections(sets),
     )
 
 
@@ -550,25 +531,20 @@ class SpreadDecompositionReport:
 
 
 def verify_spread_decomposition(ctx: FieldCtx, I: Sequence[int]) -> SpreadDecompositionReport:
-    from .codes import build_J, build_pi, fq_label
-
-    iset = sorted(set(I), key=ctx.fq_index)
+    iset, rest = split_params(ctx, I)
     if not iset:
         raise ValueError("I must be nonempty")
     n_points = (ctx.q ** (ctx.m * ctx.m) - 1) // (ctx.q - 1)
     if n_points > SPREAD_POINT_LIMIT:
         raise ValueError("parameters exceed the full-spread desk bound")
-    m = ctx.m
     per = (ctx.order - 1) // (ctx.q - 1)
     spread = {el.rep: el.points for el in spread_partition(ctx)}
 
     used_elements: List[FrozenSet[Word]] = []
 
     # the two axis components are single spread elements
-    a1_word = (1,) + (0,) * (m - 1)
-    a2_word = (0,) * (m - 1) + (1,)
     axis_ok = True
-    for w in (a1_word, a2_word):
+    for w in (KINDS["A1"].generator(ctx, None), KINDS["A2"].generator(ctx, None)):
         pts = spread_element_points(ctx, w)
         axis_ok &= spread[proj_normalize(ctx, w)] == pts
         used_elements.append(pts)
@@ -592,12 +568,8 @@ def verify_spread_decomposition(ctx: FieldCtx, I: Sequence[int]) -> SpreadDecomp
             image_in_spread &= spread[rep] == pts
             used_elements.append(pts)
 
-    # J components are hyperreguli
-    rest = [b for b in ctx.fq_elems[1:] if b not in set(iset)]
-    hyper_ok = {}
-    for b in rest:
-        rep_report = hyperregulus(ctx, b)
-        hyper_ok[f"J({fq_label(ctx, b)})"] = rep_report.ok
+    hyper, ja_in_span = _j_side_checks(ctx, rest)
+    for rep_report in hyper.values():
         used_elements.extend(rep_report.members)
 
     expected = 2 + len(iset) * per + len(rest) * per
@@ -608,20 +580,11 @@ def verify_spread_decomposition(ctx: FieldCtx, I: Sequence[int]) -> SpreadDecomp
             disjoint = False
         union |= pts
 
-    # J and axis images live in the span of the two axis spread elements,
-    # i.e. on words supported on the first and last coordinate
-    ja_in_span = True
-    for b in rest:
-        for w in build_J(ctx, b):
-            if any(w[1:-1]):
-                ja_in_span = False
-                break
-
     return SpreadDecompositionReport(
         axis_elements_ok=axis_ok,
         segre_counts=segre_counts,
         segre_equivalent=segre_equiv,
-        hyperreguli_ok=hyper_ok,
+        hyperreguli_ok={tag: rep_report.ok for tag, rep_report in hyper.items()},
         spread_elements_used=len(used_elements),
         expected_spread_elements=expected,
         elements_disjoint=disjoint,
@@ -630,28 +593,30 @@ def verify_spread_decomposition(ctx: FieldCtx, I: Sequence[int]) -> SpreadDecomp
     )
 
 
+def _j_side_checks(ctx: FieldCtx, rest: Sequence[int]) -> Tuple[Dict[str, HyperregulusReport], bool]:
+    """The hyperregulus report of each J component, and whether the J and
+    axis images live in the span of the two axis spread elements, i.e. on
+    words supported on the first and last coordinate."""
+    hyper = {f"J({fq_label(ctx, b)})": hyperregulus(ctx, b) for b in rest}
+    ja_in_span = all(not any(w[1:-1]) for b in rest for w in build_J(ctx, b))
+    return hyper, ja_in_span
+
+
 def dickson_side_subchecks(ctx: FieldCtx, I: Sequence[int]) -> dict:
     """Class-count and containment checks that stay on the Dickson side, for
     parameters where the full spread exceeds the desk bound: image sizes of
     the pi components (Segre point counts), hyperregulus structure of the J
     components, and the first-last support of the J and axis parts."""
-    from .codes import build_J, build_pi, fq_label
-
-    iset = sorted(set(I), key=ctx.fq_index)
+    iset, rest = split_params(ctx, I)
     if not iset:
         raise ValueError("I must be nonempty")
     per = (ctx.order - 1) // (ctx.q - 1)
-    rest = [b for b in ctx.fq_elems[1:] if b not in set(iset)]
     segre_ok = {
         f"PI({fq_label(ctx, a)})": len(fq_classes(ctx, build_pi(ctx, a))) == per * per
         for a in iset
     }
-    hyper_ok = {
-        f"J({fq_label(ctx, b)})": hyperregulus(ctx, b).ok for b in rest
-    }
-    support_ok = all(
-        not any(w[1:-1]) for b in rest for w in build_J(ctx, b)
-    )
+    hyper, support_ok = _j_side_checks(ctx, rest)
+    hyper_ok = {tag: rep_report.ok for tag, rep_report in hyper.items()}
     return {
         "segre_class_counts": segre_ok,
         "hyperreguli": hyper_ok,

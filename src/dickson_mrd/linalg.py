@@ -204,7 +204,3 @@ def mat_inv(ctx: FieldCtx, a: Mat) -> Mat:
                     if prow[j]:
                         row[j] = sub(row[j], mul(factor, prow[j]))
     return tuple(tuple(row[n:]) for row in mat)
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))

@@ -205,3 +205,37 @@ def test_geometry_command_with_points(tmp_path, capsys):
     assert len(rep["points"]["J(1)"]) == 13
     assert rep["points"]["A1"] == [[[1, 0, 0], [0, 0, 0], [0, 0, 0]]]
     assert rep["projective_decomposition"]["intersections"][0][0] == 1
+
+
+# ----------------------------------------------------------------------
+# damaged code files
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("key", ["field", "params", "components", "kind"])
+def test_file_missing_key_exits_two(tmp_path, capsys, f27, key):
+    doc = codefile.code_to_dict(cd.build_family(f27, [2]))
+    del (doc["components"][0] if key == "kind" else doc)[key]
+    bad = tmp_path / "bad.json"
+    codefile.write_json(bad, doc)
+    code, _, err = run(capsys, "verify", str(bad), "--mode", "orbit")
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert repr(key) in lines[0]
+
+
+def test_verify_tampered_orbit_falls_back_to_bruteforce(tmp_path, capsys, f27):
+    # (2, 0, 2) lies at rank distance 1 from another PI word; the swap keeps
+    # the PI component's size and generator but breaks its orbit closure
+    doc = codefile.code_to_dict(cd.build_family(f27, [2]))
+    pi = next(c for c in doc["components"] if c["kind"] == "PI")
+    rep = codefile.word_to_lists(f27, cd.pi_generator(f27, 2))
+    i = max(k for k, w in enumerate(pi["words"]) if w != rep)
+    pi["words"][i] = codefile.word_to_lists(f27, (2, 0, 2))
+    bad = tmp_path / "tampered.json"
+    codefile.write_json(bad, doc)
+    code, text, _ = run(capsys, "verify", str(bad), "--mode", "orbit")
+    assert code == 1
+    dist = json.loads(text)["distance"]
+    assert dist["min_distance"] == 1
+    assert dist["mode"] == "bruteforce"

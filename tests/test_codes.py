@@ -157,6 +157,31 @@ def test_build_family_empty_set_warns_and_is_linear(f27):
     assert cd.linearity_witness(fam) is None
 
 
+def test_split_params(f64):
+    om, om2 = f64.fq_elems[2], f64.fq_elems[3]
+    assert cd.split_params(f64, [om2, om, om2]) == ([om, om2], [1])
+    assert cd.split_params(f64, []) == ([], [1, om, om2])
+    outside = next(x for x in f64.exp if not f64.in_fq(x))
+    for bad in ([0], [1], [om, outside]):
+        with pytest.raises(ValueError, match="subset"):
+            cd.split_params(f64, bad)
+
+
+@pytest.mark.parametrize("fixture", ["f27", "f64", "f81"])
+def test_orbit_check_accepts_exactly_the_orbits(fixture, request):
+    ctx = request.getfixturevalue(fixture)
+    fam = cd.build_family(ctx, [ctx.fq_elems[2]])
+    for c in fam.components:
+        assert len(c.words) == cd.KINDS[c.kind].size(ctx)
+        assert cd.checked_orbit_rep(ctx, c.kind, c.a, c.words) == c.orbit_rep
+    pi, j = fam.components[:2]
+    moved = next(w for w in sorted(pi.words) if w != pi.orbit_rep)
+    swapped = (pi.words - {moved}) | {next(iter(j.words))}
+    for kind, words in (("PI", swapped), ("PI", pi.words - {moved}),
+                        ("PI", pi.words - {pi.orbit_rep}), ("OTHER", pi.words)):
+        assert cd.checked_orbit_rep(ctx, kind, pi.a, frozenset(words)) is None
+
+
 # ----------------------------------------------------------------------
 # Gabidulin baseline
 # ----------------------------------------------------------------------

@@ -407,3 +407,15 @@ def test_j_images_on_line_all_parameters(f27, f64):
             img = ge.proj_image(ctx, cd.build_J(ctx, b))
             assert img <= line
             assert len(img) == (ctx.order - 1) // (ctx.q - 1)
+
+
+@pytest.mark.parametrize("check", [
+    ge.verify_projective_decomposition,
+    ge.verify_spread_decomposition,
+    ge.dickson_side_subchecks,
+])
+def test_decomposition_reports_reject_one_in_I(f27, check):
+    with pytest.raises(ValueError, match="subset"):
+        check(f27, [1])
+    with pytest.raises(ValueError, match="subset"):
+        check(f27, [2, 1])
