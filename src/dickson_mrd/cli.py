@@ -322,6 +322,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError("--threads must be at least 1")
         return args.fn(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -38,15 +38,25 @@ def read_json(path: Union[str, Path]):
 # fields and elements
 # ----------------------------------------------------------------------
 
-def _require(d: dict, key: str):
+_JSON_TYPES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+
+
+def _require(d: dict, key: str, kind: type):
+    """d[key], which must be present and of JSON type `kind`."""
     if key not in d:
         raise ValueError(f"missing key {key!r}")
-    return d[key]
+    value = d[key]
+    if type(value) is not kind:
+        raise ValueError(f"key {key!r} must be {_JSON_TYPES[kind]}")
+    return value
 
 
 def field_from_dict(d: dict) -> FieldCtx:
-    p, h, m = (int(_require(d, key)) for key in ("p", "h", "m"))
-    return make_field(p, h, m, _require(d, "modulus"))
+    p, h, m = (_require(d, key, int) for key in ("p", "h", "m"))
+    modulus = _require(d, "modulus", list)
+    if not {int}.issuperset(map(type, modulus)):
+        raise ValueError("key 'modulus' must be a list of integers")
+    return make_field(p, h, m, modulus)
 
 
 def element_to_list(ctx: FieldCtx, x: int) -> List[int]:
@@ -54,7 +64,12 @@ def element_to_list(ctx: FieldCtx, x: int) -> List[int]:
 
 
 def element_from_list(ctx: FieldCtx, cs: Sequence[int]) -> int:
-    return ctx.from_coeffs(cs)
+    if type(cs) is list:
+        try:
+            return ctx.from_coeffs(cs)
+        except TypeError:
+            pass
+    raise ValueError("an element must be a list of integers")
 
 
 def word_to_lists(ctx: FieldCtx, w: Word) -> List[List[int]]:
@@ -62,8 +77,8 @@ def word_to_lists(ctx: FieldCtx, w: Word) -> List[List[int]]:
 
 
 def word_from_lists(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> Word:
-    if len(rows) != ctx.m:
-        raise ValueError(f"word must have {ctx.m} elements")
+    if type(rows) is not list or len(rows) != ctx.m:
+        raise ValueError(f"a word must be a list of {ctx.m} elements")
     return tuple(element_from_list(ctx, r) for r in rows)
 
 
@@ -99,21 +114,27 @@ def code_to_dict(code: RankCode) -> dict:
 def code_from_dict(d: dict) -> RankCode:
     """Rebuild a code from its file form.
 
-    A missing key raises ValueError.  A component keeps its kind's orbit
-    representative only if its words are exactly that kind's orbit (see
-    `checked_orbit_rep`); otherwise it is downgraded to plain membership,
-    so a tampered file still loads and verification falls back to brute
-    force and reports the damage.
+    A missing key, or a value of the wrong JSON type, raises ValueError.  A
+    component keeps its kind's orbit representative only if its words are
+    exactly that kind's orbit (see `checked_orbit_rep`); otherwise it is
+    downgraded to plain membership, so a tampered file still loads and
+    verification falls back to brute force and reports the damage.
     """
+    if type(d) is not dict:
+        raise ValueError("a code file must be a JSON object")
     if d.get("format") != CODE_FORMAT:
         raise ValueError(f"unsupported file format {d.get('format')!r}")
-    ctx = field_from_dict(_require(d, "field"))
-    claimed = int(_require(_require(d, "params"), "claimed_distance"))
+    ctx = field_from_dict(_require(d, "field", dict))
+    claimed = _require(_require(d, "params", dict), "claimed_distance", int)
+    if not 1 <= claimed <= ctx.m:
+        raise ValueError(f"key 'claimed_distance' must lie in 1..{ctx.m}")
     comps = []
-    for cd in _require(d, "components"):
-        kind = _require(cd, "kind")
-        a = element_from_list(ctx, cd["a"]) if cd.get("a") is not None else None
-        words = frozenset(word_from_lists(ctx, w) for w in _require(cd, "words"))
+    for cd in _require(d, "components", list):
+        if type(cd) is not dict:
+            raise ValueError("key 'components' must hold objects")
+        kind = _require(cd, "kind", str)
+        a = None if cd.get("a") is None else element_from_list(ctx, _require(cd, "a", list))
+        words = frozenset(word_from_lists(ctx, w) for w in _require(cd, "words", list))
         comps.append(Component(kind, a, words, checked_orbit_rep(ctx, kind, a, words)))
     words_union: set = set()
     for c in comps:

@@ -21,6 +21,7 @@ serves as the linear baseline.
 from __future__ import annotations
 
 import itertools
+import os
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +33,9 @@ import multiprocessing
 from .gfield import FieldCtx
 from .linforms import (
     Word,
+    column_rank as _rank_of,
     linmap_fq_matrix,
+    rank_tables,
     word_add,
     word_scale,
     zero_word,
@@ -324,76 +327,58 @@ def build_gabidulin(ctx: FieldCtx, s: int) -> RankCode:
 # distance computations
 # ----------------------------------------------------------------------
 
-def _rank_of(rows: List[List[int]], m: int, add, mul, neg, inv) -> int:
-    rank = 0
-    for c in range(m):
-        piv = -1
-        for r in range(rank, m):
-            if rows[r][c]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pinv = inv[prow[c]]
-        for r in range(rank + 1, m):
-            row = rows[r]
-            rc = row[c]
-            if rc:
-                frow = mul[neg[mul[rc][pinv]]]
-                for j in range(c, m):
-                    pj = prow[j]
-                    if pj:
-                        row[j] = add[row[j]][frow[pj]]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
 _PAR_STATE: dict = {}
 
 
 def _stripe(args):
+    """Reduce the ranks of one share of the scan: for each row (left, lo, hi),
+    the pairs (left, mats[j]) for every step-th j in [lo + offset, hi)."""
     mode, offset, step = args
-    mats = _PAR_STATE["mats"]
-    ctx: FieldCtx = _PAR_STATE["ctx"]
-    m = ctx.m
-    add, mul, neg, inv, sub = ctx.fq_add, ctx.fq_mul, ctx.fq_neg, ctx.fq_inv, ctx.fq_sub
-    n = len(mats)
+    mats, rows, tables = _PAR_STATE["mats"], _PAR_STATE["rows"], _PAR_STATE["tables"]
+    m = len(mats[0])
     best = m
-    hist: Counter = Counter()
-    for i in range(offset, n, step):
-        mi = mats[i]
-        for j in range(i + 1, n):
-            mj = mats[j]
-            rows = [[sub[a][b] for a, b in zip(ra, rb)] for ra, rb in zip(mi, mj)]
-            r = _rank_of(rows, m, add, mul, neg, inv)
+    counts = [0] * (m + 1)
+    for left, lo, hi in rows:
+        for right in mats[lo + offset:hi:step]:
+            r = _rank_of(left, right, tables)
             if mode == "hist":
-                hist[r] += 1
+                counts[r] += 1
             elif r < best:
                 best = r
                 if best == 1:
                     return best
-    return best if mode == "min" else dict(hist)
+    return best if mode == "min" else {r: c for r, c in enumerate(counts) if c}
 
 
-def _all_pairs(code: RankCode, mode: str, threads: int):
+def _all_pairs(code: RankCode, source: str, mode: str, threads: int):
+    """`_stripe` results over the pairs of `source`, split over up to
+    `threads` forked workers (at most one per CPU).
+
+    `bruteforce` pairs every word with each later word.  `orbit` pairs each
+    component's orbit representative with every other word of its own and
+    of each later component.
+    """
     ctx = code.ctx
-    mats = [linmap_fq_matrix(ctx, w) for w in sorted(code.words)]
-    if threads <= 1:
-        _PAR_STATE.update(mats=mats, ctx=ctx)
-        try:
-            return [_stripe((mode, 0, 1))]
-        finally:
-            _PAR_STATE.clear()
-    _PAR_STATE.update(mats=mats, ctx=ctx)
+    if source == "bruteforce":
+        mats = [linmap_fq_matrix(ctx, w) for w in sorted(code.words)]
+        rows = [(left, i + 1, len(mats)) for i, left in enumerate(mats)]
+    else:
+        mats, reps = [], []
+        for comp in code.components:
+            words = sorted(comp.words)
+            reps.append((linmap_fq_matrix(ctx, comp.orbit_rep),
+                         len(mats), len(mats) + words.index(comp.orbit_rep)))
+            mats.extend(linmap_fq_matrix(ctx, w) for w in words)
+        rows = [row for rep, start, own in reps
+                for row in ((rep, start, own), (rep, own + 1, len(mats)))]
+    workers = max(1, min(threads, os.cpu_count() or 1))
+    _PAR_STATE.update(mats=mats, rows=rows, tables=rank_tables(ctx))
     try:
+        if workers == 1:
+            return [_stripe((mode, 0, 1))]
         mp = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=threads, mp_context=mp) as ex:
-            return list(ex.map(_stripe, [(mode, k, threads) for k in range(threads)]))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=mp) as ex:
+            return list(ex.map(_stripe, [(mode, k, workers) for k in range(workers)]))
     finally:
         _PAR_STATE.clear()
 
@@ -408,43 +393,16 @@ def min_distance(code: RankCode, mode: str = "bruteforce", threads: int = 1) -> 
     """
     if code.size < 2:
         raise ValueError("minimum distance needs at least two words")
-    if mode == "bruteforce":
-        return min(_all_pairs(code, "min", threads))
-    if mode != "orbit":
+    if mode not in ("bruteforce", "orbit"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not code.has_orbit_structure():
+    if mode == "orbit" and not code.has_orbit_structure():
         raise ValueError("orbit mode needs orbit-tagged components")
-    ctx = code.ctx
-    m = ctx.m
-    add, mul, neg, inv, sub = ctx.fq_add, ctx.fq_mul, ctx.fq_neg, ctx.fq_inv, ctx.fq_sub
-    comp_mats = [
-        (comp, linmap_fq_matrix(ctx, comp.orbit_rep),
-         [(w, linmap_fq_matrix(ctx, w)) for w in sorted(comp.words)])
-        for comp in code.components
-    ]
-    best = m
-    for i, (ci, rep_mat, _) in enumerate(comp_mats):
-        for j in range(i, len(comp_mats)):
-            cj, _, words_j = comp_mats[j]
-            same = i == j
-            if same and len(cj.words) < 2:
-                continue
-            for w, mj in words_j:
-                if same and w == ci.orbit_rep:
-                    continue
-                rows = [[sub[a][b] for a, b in zip(ra, rb)]
-                        for ra, rb in zip(rep_mat, mj)]
-                r = _rank_of(rows, m, add, mul, neg, inv)
-                if r < best:
-                    best = r
-                    if best == 1:
-                        return 1
-    return best
+    return min(_all_pairs(code, mode, "min", threads))
 
 
 def distance_distribution(code: RankCode, threads: int = 1) -> Dict[int, int]:
     """Histogram rank -> number of unordered pairs at that rank distance."""
-    parts = _all_pairs(code, "hist", threads)
+    parts = _all_pairs(code, "bruteforce", "hist", threads)
     total: Counter = Counter()
     for part in parts:
         total.update(part)

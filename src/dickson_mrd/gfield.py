@@ -252,7 +252,8 @@ class FieldCtx:
         self._half = self.mult_order // 2 if p != 2 else 0
         self._build_subfield_tables()
         self._coords_map = None
-        self._conj_basis = None
+        self._conj_logs = None
+        self._pivot_tables = None
 
     # -- table construction -------------------------------------------------
 
@@ -431,14 +432,28 @@ class FieldCtx:
             raise RuntimeError("g-power basis failed to span the field")
         self._coords_map = mapping
 
-    def conj_basis(self) -> List[List[int]]:
-        """conj_basis[j][i] = (g^j)^(q^i), the Frobenius images of the basis."""
-        if self._conj_basis is None:
-            self._conj_basis = [
-                [self.frobenius(self.pow(self.g, j), i) for i in range(self.m)]
-                for j in range(self.m)
-            ]
-        return self._conj_basis
+    def conj_logs(self) -> List[List[int]]:
+        """conj_logs[j][i] = log((g^j)^(q^i)), the Frobenius images of the basis."""
+        if self._conj_logs is None:
+            n = self.mult_order
+            self._conj_logs = [[j * qi % n for qi in self._qpow] for j in range(self.m)]
+        return self._conj_logs
+
+    def pivot_tables(self) -> Tuple[List[int], List[int]]:
+        """(pos, coef), indexed by discrete log k: pos[k] is the highest j at
+        which g^k has a nonzero F_q-coordinate in the basis 1, g, ..., g^(m-1),
+        and coef[k] is the discrete log of that coordinate."""
+        if self._pivot_tables is None:
+            if self._coords_map is None:
+                self._build_coords()
+            n = self.mult_order
+            pos, coef = [0] * n, [0] * n
+            for x, cs in self._coords_map.items():
+                if x:
+                    k, j = self.log[x], max(i for i, c in enumerate(cs) if c)
+                    pos[k], coef[k] = j, self.log[self.fq_elems[cs[j]]]
+            self._pivot_tables = (pos, coef)
+        return self._pivot_tables
 
     # -- serialization ---------------------------------------------------------
 

@@ -8,9 +8,10 @@ plays three roles at once:
   a_{(j-i) mod m} ^ (q^i)  (0-based indices),
 * the bilinear form  (x, x') -> Tr(L(x') * x)  on the cyclic model of V(m, q).
 
-The rank of the word is the rank of the form, computed as m minus the F_q
-dimension of the root space of L; it always agrees with the matrix rank of
-the Dickson matrix over F_{q^m} (this equality is exercised by the tests).
+The rank of the word is the rank of the form: the F_q-dimension of the
+image of L (`column_rank`), which is m minus that of its root space.  It
+always agrees with the matrix rank of the Dickson matrix over F_{q^m} (this
+equality is exercised by the tests).
 
 Words are plain tuples of element ints; all functions are pure.
 """
@@ -21,9 +22,11 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Set, Tuple
 
 from .gfield import FieldCtx
-from .linalg import fq_nullspace, fq_rank, mat_mul
+from .linalg import fq_nullspace, mat_mul
 
 Word = Tuple[int, ...]
+# Images of the basis 1, g, ..., g^(m-1) under a word's linear map.
+Columns = Tuple[int, ...]
 
 
 def zero_word(ctx: FieldCtx) -> Word:
@@ -55,39 +58,85 @@ def eval_linpoly(ctx: FieldCtx, w: Word, x: int) -> int:
     return acc
 
 
-def linmap_fq_matrix(ctx: FieldCtx, w: Word) -> List[List[int]]:
-    """Matrix of the linearized polynomial of w as an F_q-linear map on
-    F_{q^m}, in the basis 1, g, ..., g^(m-1).  Entries are canonical
-    subfield indices; column j holds the coordinates of L(g^j).
+def linmap_fq_matrix(ctx: FieldCtx, w: Word) -> Columns:
+    """The linearized polynomial of w as an F_q-linear map on F_{q^m}: the
+    images (L(g^0), ..., L(g^(m-1))) of the basis 1, g, ..., g^(m-1).
+    ctx.coords of entry j is column j of the map's F_q-matrix.
 
-    The map w -> matrix is F_q-linear, which makes pairwise rank
-    computations a matter of subtracting precomputed matrices.
+    The map w -> columns is F_q-linear, so the rank distance of two words
+    is the rank of the column differences (see `column_rank`).
     """
-    m = ctx.m
-    conj = ctx.conj_basis()
-    add, mul, coords = ctx.add, ctx.mul, ctx.coords
+    log, exp, zech, n = ctx.log, ctx.exp, ctx.zech, ctx.mult_order
+    terms = [(log[a], i) for i, a in enumerate(w) if a]
     cols = []
-    for j in range(m):
-        acc = 0
-        cj = conj[j]
-        for i in range(m):
-            a = w[i]
+    for conj in ctx.conj_logs():
+        acc = -1  # log of the partial sum, -1 for zero
+        for la, i in terms:
+            t = (la + conj[i]) % n
+            if acc < 0:
+                acc = t
+            else:
+                z = zech[t - acc]
+                acc = (acc + z) % n if z >= 0 else -1
+        cols.append(exp[acc] if acc >= 0 else 0)
+    return tuple(cols)
+
+
+def rank_tables(ctx: FieldCtx) -> tuple:
+    """The field tables `column_rank` reads, in its argument order."""
+    return (ctx.log, ctx.zech, ctx.mult_order, ctx.log[ctx.neg(1)]) + ctx.pivot_tables()
+
+
+def column_rank(left: Columns, right: Columns, tables: tuple) -> int:
+    """Exact F_q-rank of the field elements left_j - right_j, for two
+    `linmap_fq_matrix` results and `rank_tables(ctx)`.
+
+    Runs on discrete logs with Zech additions.  Each nonzero difference is
+    reduced against a basis indexed by pivot, the highest nonzero
+    F_q-coordinate; a basis vector is scaled so its pivot coordinate is 1,
+    so one subtraction clears the pivot and each reduction step lowers it.
+    """
+    log, zech, n, neg1, pos, coef = tables
+    basis = [-1] * len(left)  # log of the basis vector with pivot j, -1 for none
+    rank = 0
+    for a, b in zip(left, right):
+        if b:
+            v = log[b] + neg1
             if a:
-                acc = add(acc, mul(a, cj[i]))
-        cols.append(coords(acc))
-    return [[cols[j][r] for j in range(m)] for r in range(m)]
+                la = log[a]
+                z = zech[(v - la) % n]
+                if z < 0:
+                    continue
+                v = la + z
+            v %= n
+        elif a:
+            v = log[a]
+        else:
+            continue
+        while True:
+            j = pos[v]
+            u = basis[j]
+            if u < 0:
+                basis[j] = (v - coef[v]) % n
+                rank += 1
+                break
+            z = zech[(coef[v] + u + neg1 - v) % n]
+            if z < 0:
+                break
+            v = (v + z) % n
+    return rank
 
 
 def kernel(ctx: FieldCtx, w: Word) -> List[int]:
     """Deterministic F_q-basis of the root space {x : L_w(x) = 0},
     as field elements."""
-    null = fq_nullspace(ctx, linmap_fq_matrix(ctx, w))
-    return [ctx.from_fq_coords(vec) for vec in null]
+    rows = list(zip(*map(ctx.coords, linmap_fq_matrix(ctx, w))))
+    return [ctx.from_fq_coords(vec) for vec in fq_nullspace(ctx, rows)]
 
 
 def rank(ctx: FieldCtx, w: Word) -> int:
     """Rank of the bilinear form of w (= m - dim of the root space)."""
-    return fq_rank(ctx, linmap_fq_matrix(ctx, w))
+    return column_rank(linmap_fq_matrix(ctx, w), zero_word(ctx), rank_tables(ctx))
 
 
 def dickson(ctx: FieldCtx, w: Word) -> Tuple[Tuple[int, ...], ...]:

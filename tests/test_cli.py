@@ -128,6 +128,17 @@ def test_invalid_parameters_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "distdist", "cmp"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_two(tmp_path, capsys, command, threads):
+    out = tmp_path / "fam.json"
+    run(capsys, "build", "--p", "3", "--m", "3", "--set", "2", "--out", str(out))
+    target = ["--p", "3", "--set", "2"] if command == "cmp" else [str(out)]
+    code, text, err = run(capsys, command, *target, "--threads", threads)
+    assert code == 2 and text == ""
+    assert err.splitlines() == ["error: --threads must be at least 1"]
+
+
 # ----------------------------------------------------------------------
 # distdist
 # ----------------------------------------------------------------------
@@ -215,6 +226,24 @@ def test_geometry_command_with_points(tmp_path, capsys):
 def test_file_missing_key_exits_two(tmp_path, capsys, f27, key):
     doc = codefile.code_to_dict(cd.build_family(f27, [2]))
     del (doc["components"][0] if key == "kind" else doc)[key]
+    bad = tmp_path / "bad.json"
+    codefile.write_json(bad, doc)
+    code, _, err = run(capsys, "verify", str(bad), "--mode", "orbit")
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert repr(key) in lines[0]
+
+
+@pytest.mark.parametrize("key, value", [("field", None), ("words", 5), ("p", "3"),
+                                        ("claimed_distance", 0), ("a", 5)])
+def test_file_wrong_type_exits_two(tmp_path, capsys, f27, key, value):
+    doc = codefile.code_to_dict(cd.build_family(f27, [2]))
+    owner = {"field": doc, "words": doc["components"][0], "p": doc["field"],
+             "claimed_distance": doc["params"], "a": doc["components"][0]}[key]
+    owner[key] = value
+    with pytest.raises(ValueError):
+        codefile.code_from_dict(doc)
     bad = tmp_path / "bad.json"
     codefile.write_json(bad, doc)
     code, _, err = run(capsys, "verify", str(bad), "--mode", "orbit")

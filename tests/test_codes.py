@@ -258,6 +258,43 @@ def test_min_distance_parallel_matches_serial(f27):
     assert cd.min_distance(fam, "bruteforce", threads=2) == 2
 
 
+@pytest.mark.parametrize("fixture", ["f27", "f64"])
+def test_orbit_mode_splits_over_threads(fixture, request, monkeypatch):
+    ctx = request.getfixturevalue(fixture)
+    fam = cd.build_family(ctx, [ctx.fq_elems[2]])
+    monkeypatch.setattr(cd.os, "cpu_count", lambda: 2)
+    assert cd.min_distance(fam, "orbit", threads=2) == cd.min_distance(fam, "orbit") == 2
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+def test_scan_workers_capped_at_cpu_count(f27, monkeypatch):
+    monkeypatch.setattr(cd, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cd.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    fam = cd.build_family(f27, [2])
+    gab = cd.build_gabidulin(f27, 1)
+    assert cd.min_distance(fam, "orbit", threads=64) == 2
+    assert cd.distance_distribution(gab, threads=1000) == cd.distance_distribution(gab)
+    assert _InlinePool.sizes == [2, 2]
+
+
 def test_distance_distribution_two_words(f27):
     code = cd.RankCode.from_words(f27, [(0, 0, 0), (0, 0, 5)], claimed_distance=3)
     assert cd.distance_distribution(code) == {3: 1}

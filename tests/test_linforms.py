@@ -4,8 +4,9 @@ import pytest
 
 from dickson_mrd import linforms as lf
 from dickson_mrd.codes import build_J, build_pi, j_generator, pi_generator
-from dickson_mrd.linalg import mat_mul, mat_transpose
-from reference import ref_add, ref_mul, ref_neg, ref_pow
+from dickson_mrd.gfield import make_field
+from dickson_mrd.linalg import fq_rank, mat_mul, mat_transpose
+from reference import decode, encode, ref_add, ref_mul, ref_neg, ref_pow
 
 
 def all_words_sample(ctx, count, seed):
@@ -98,6 +99,59 @@ def test_rank_equals_dickson_matrix_rank_other_fields(f64, f81):
 def test_ranks_lie_in_range(f27):
     for w in all_words_sample(f27, 500, seed=5):
         assert 0 <= lf.rank(f27, w) <= f27.m
+
+
+def _rank_mod_p(rows, p):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] * inv % p
+            rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_rank(ctx, w1, w2):
+    """F_q-rank of L_{w1 - w2} with table-free arithmetic: its F_p-rank on
+    the F_p-basis g^t (t < h*m), divided by h."""
+    diff = [ref_add(ctx, a, ref_neg(ctx, b)) for a, b in zip(w1, w2)]
+    x = encode(ctx, [0, 1])  # g is the class of the polynomial variable
+    rows = []
+    for t in range(ctx.degree):
+        y = ref_pow(ctx, x, t)
+        acc = 0
+        for i, a in enumerate(diff):
+            acc = ref_add(ctx, acc, ref_mul(ctx, a, ref_pow(ctx, y, ctx.q ** i)))
+        rows.append(decode(ctx, acc))
+    r = _rank_mod_p(rows, ctx.p)
+    assert r % ctx.h == 0
+    return r // ctx.h
+
+
+@pytest.mark.parametrize("p, h, m", [(3, 1, 3), (2, 2, 3), (5, 1, 3), (3, 1, 4), (2, 1, 5)])
+def test_column_rank_matches_independent_routes(p, h, m):
+    ctx = make_field(p, h, m)
+    tables = lf.rank_tables(ctx)
+    zero, trace = lf.zero_word(ctx), (1,) * m  # x + x^q + ... has rank 1
+    words = all_words_sample(ctx, 60, seed=p * 100 + h * 10 + m)
+    pairs = list(zip(words[::2], words[1::2]))
+    pairs += [(zero, zero), (words[0], words[0]), (words[1], zero),
+              (words[2], lf.word_sub(ctx, words[2], trace))]
+    seen = set()
+    for w1, w2 in pairs:
+        left, right = lf.linmap_fq_matrix(ctx, w1), lf.linmap_fq_matrix(ctx, w2)
+        got = lf.column_rank(left, right, tables)
+        assert got == fq_rank(ctx, [ctx.coords(ctx.sub(a, b)) for a, b in zip(left, right)])
+        assert got == lf.dickson_rank(ctx, lf.word_sub(ctx, w1, w2))
+        assert got == reference_rank(ctx, w1, w2)
+        seen.add(got)
+    assert {0, 1, m} <= seen
 
 
 # ----------------------------------------------------------------------
