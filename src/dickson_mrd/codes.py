@@ -360,18 +360,19 @@ def _all_pairs(code: RankCode, source: str, mode: str, threads: int):
     """
     ctx = code.ctx
     if source == "bruteforce":
-        mats = [linmap_fq_matrix(ctx, w) for w in sorted(code.words)]
+        mats = [linmap_fq_matrix(ctx, w) for w in code.words]
         rows = [(left, i + 1, len(mats)) for i, left in enumerate(mats)]
     else:
         mats, reps = [], []
         for comp in code.components:
-            words = sorted(comp.words)
+            words = list(comp.words)
             reps.append((linmap_fq_matrix(ctx, comp.orbit_rep),
                          len(mats), len(mats) + words.index(comp.orbit_rep)))
             mats.extend(linmap_fq_matrix(ctx, w) for w in words)
         rows = [row for rep, start, own in reps
                 for row in ((rep, start, own), (rep, own + 1, len(mats)))]
     workers = max(1, min(threads, os.cpu_count() or 1))
+    # The rank tables are built here, before any fork, so workers inherit them.
     _PAR_STATE.update(mats=mats, rows=rows, tables=rank_tables(ctx))
     try:
         if workers == 1:

@@ -21,6 +21,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 # Size bound for exact table-based arithmetic.
 MAX_FIELD_ORDER = 2 ** 24
+# Size bound for each table of the subspace automaton (see automaton_entries).
+MAX_AUTOMATON_ENTRIES = 2 ** 21
 
 # Built-in primitive polynomials, keyed by (p, degree).  Each entry is the
 # full little-endian coefficient list (constant term first, monic).  Every
@@ -60,6 +62,21 @@ def is_prime(n: int) -> bool:
             return False
         i += 1
     return True
+
+
+def subspace_count(q: int, m: int) -> int:
+    """Number of subspaces of F_q^m (m >= 1), by the recurrence
+    G(n + 1) = 2 G(n) + (q^n - 1) G(n - 1) with G(0) = 1, G(1) = 2."""
+    prev, cur = 1, 2
+    for n in range(1, m):
+        prev, cur = cur, 2 * cur + (q ** n - 1) * prev
+    return cur
+
+
+def automaton_entries(q: int, m: int) -> int:
+    """Entries in the larger of the two q^m-column automaton tables:
+    `step` holds (number of subspaces) x q^m, `sub` holds q^m x q^m."""
+    return max(subspace_count(q, m), q ** m) * q ** m
 
 
 def _prime_factors(n: int) -> List[int]:
@@ -206,15 +223,19 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, h: int, m: int, modulus: Optional[Sequence[int]] = None):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if h < 1:
             raise ValueError("h must be >= 1")
         if m < 2:
             raise ValueError("m must be >= 2")
         d = h * m
-        if p ** d > MAX_FIELD_ORDER:
+        # A prime p is at least 2, so a field within the bound has p at most
+        # the bound and d at most its log2.  Checking those first keeps a
+        # huge p or d from costing a primality test or a huge power.
+        if p > MAX_FIELD_ORDER or d > MAX_FIELD_ORDER.bit_length() - 1 \
+                or p ** d > MAX_FIELD_ORDER:
             raise ValueError(f"field order p^(h*m) = {p}^{d} exceeds bound {MAX_FIELD_ORDER}")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         if modulus is None:
             if (p, d) not in DEFAULT_MODULI:
                 raise ValueError(
@@ -254,6 +275,7 @@ class FieldCtx:
         self._coords_map = None
         self._conj_logs = None
         self._pivot_tables = None
+        self._automaton = None
 
     # -- table construction -------------------------------------------------
 
@@ -454,6 +476,59 @@ class FieldCtx:
                     pos[k], coef[k] = j, self.log[self.fq_elems[cs[j]]]
             self._pivot_tables = (pos, coef)
         return self._pivot_tables
+
+    def subspace_automaton(self) -> Optional[Tuple[List[List[int]], List[List[int]], List[int]]]:
+        """(step, sub, dim) on the lattice of F_q-subspaces of F_{q^m}, or
+        None when `step` or `sub` would hold more than MAX_AUTOMATON_ENTRIES
+        entries (`automaton_entries`).
+
+        States are ids numbered breadth first from 0 = {0}: step[s][x] is the
+        id of s + F_q x, dim[s] is the F_q-dimension of s, and sub[a][b] is
+        a - b, so the span of the elements x_1, ..., x_k is reached from 0
+        in k steps.  Table entries are shared int objects."""
+        if automaton_entries(self.q, self.m) > MAX_AUTOMATON_ENTRIES:
+            return None
+        if self._automaton is None:
+            self._automaton = self._build_automaton()
+        return self._automaton
+
+    def _build_automaton(self) -> Tuple[List[List[int]], List[List[int]], List[int]]:
+        p, q, n, s = self.p, self.q, self.mult_order, self.subfield_index
+        exp, log = self.exp, self.log
+        els = list(range(self.order))
+        # sub[a][b] = a - b, built up one base-p digit (F_p-coefficient) at a
+        # time from the low end; els[...] makes every entry a shared object
+        sub, w = [[0]], 1
+        for _ in range(self.degree):
+            sub = [[els[t + r] for t in [(ak - bk) % p * w for bk in range(p)] for r in sub[a0]]
+                   for ak in range(p) for a0 in range(w)]
+            w *= p
+        # lines[x] = F_q x, closed under negation, so S + F_q x = {u - v}
+        lines = [()] + [[0] + [exp[(log[x] + k * s) % n] for k in range(q - 1)]
+                        for x in els[1:]]
+        spaces, dim, step = [frozenset([0])], [0], []
+        index = {spaces[0]: 0}
+        while len(step) < len(spaces):
+            sid = len(step)
+            space = spaces[sid]
+            row = [None] * self.order
+            for u in space:
+                row[u] = sid
+            # every element outside `space` goes to the one superspace of
+            # dimension + 1 it spans with `space`, each superspace once
+            for x in els:
+                if row[x] is None:
+                    sup = frozenset([sub[u][v] for u in space for v in lines[x]])
+                    t = index.get(sup)
+                    if t is None:
+                        t = index[sup] = len(spaces)
+                        spaces.append(sup)
+                        dim.append(dim[sid] + 1)
+                    for y in sup:
+                        if row[y] is None:
+                            row[y] = t
+            step.append(row)
+        return step, sub, dim
 
     # -- serialization ---------------------------------------------------------
 

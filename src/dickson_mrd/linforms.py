@@ -83,13 +83,39 @@ def linmap_fq_matrix(ctx: FieldCtx, w: Word) -> Columns:
 
 
 def rank_tables(ctx: FieldCtx) -> tuple:
-    """The field tables `column_rank` reads, in its argument order."""
-    return (ctx.log, ctx.zech, ctx.mult_order, ctx.log[ctx.neg(1)]) + ctx.pivot_tables()
+    """The field tables `column_rank` reads: (step, sub, dim, None) from
+    `FieldCtx.subspace_automaton`, or (None, None, None, echelon_tables(ctx))
+    for a lattice over its size bound.  Depends on (q, m) alone."""
+    automaton = ctx.subspace_automaton()
+    if automaton is None:
+        return None, None, None, echelon_tables(ctx)
+    return automaton + (None,)
 
 
 def column_rank(left: Columns, right: Columns, tables: tuple) -> int:
     """Exact F_q-rank of the field elements left_j - right_j, for two
     `linmap_fq_matrix` results and `rank_tables(ctx)`.
+
+    Walks the subspace automaton from {0}, one step per column difference,
+    and reads the dimension of the span reached; `echelon_rank` where the
+    field has no automaton.
+    """
+    step, sub, dim, echelon = tables
+    if step is None:
+        return echelon_rank(left, right, echelon)
+    s = 0
+    for a, b in zip(left, right):
+        s = step[s][sub[a][b]]
+    return dim[s]
+
+
+def echelon_tables(ctx: FieldCtx) -> tuple:
+    """The field tables `echelon_rank` reads, in its argument order."""
+    return (ctx.log, ctx.zech, ctx.mult_order, ctx.log[ctx.neg(1)]) + ctx.pivot_tables()
+
+
+def echelon_rank(left: Columns, right: Columns, tables: tuple) -> int:
+    """`column_rank` by elimination, for `echelon_tables(ctx)`.
 
     Runs on discrete logs with Zech additions.  Each nonzero difference is
     reduced against a basis indexed by pivot, the highest nonzero

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -268,3 +269,19 @@ def test_verify_tampered_orbit_falls_back_to_bruteforce(tmp_path, capsys, f27):
     dist = json.loads(text)["distance"]
     assert dist["min_distance"] == 1
     assert dist["mode"] == "bruteforce"
+
+
+@pytest.mark.parametrize("key, value", [("p", 2 ** 61 - 1), ("m", 10 ** 8)])
+def test_file_huge_field_exits_two_quickly(tmp_path, capsys, f27, key, value):
+    # the field-order bound is checked before the primality test and the power
+    doc = codefile.code_to_dict(cd.build_family(f27, [2]))
+    doc["field"][key] = value
+    bad = tmp_path / "bad.json"
+    codefile.write_json(bad, doc)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "verify", str(bad))
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "exceeds bound" in lines[0]

@@ -1,13 +1,17 @@
 import math
+from collections import Counter
 
 import pytest
 
 from dickson_mrd.gfield import (
     DEFAULT_MODULI,
+    MAX_AUTOMATON_ENTRIES,
+    automaton_entries,
     find_primitive_modulus,
     is_irreducible,
     is_primitive,
     make_field,
+    subspace_count,
 )
 from reference import ref_add, ref_mul, ref_neg, ref_norm, ref_pow, ref_trace
 
@@ -218,3 +222,67 @@ def test_element_ordering_is_zero_then_generator_powers(f27):
     assert els[1] == 1          # g^0
     assert els[2] == f27.g      # g^1
     assert len(els) == 27 and len(set(els)) == 27
+
+
+# ----------------------------------------------------------------------
+# subspace automaton
+# ----------------------------------------------------------------------
+
+def gaussian_binomial(q, m, k):
+    """Number of k-dimensional subspaces of F_q^m."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (m - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("q, m", [(2, 3), (3, 3), (5, 4), (3, 5), (2, 8), (4, 5), (3, 6)])
+def test_subspace_count_is_sum_of_gaussian_binomials(q, m):
+    assert subspace_count(q, m) == sum(gaussian_binomial(q, m, k) for k in range(m + 1))
+
+
+def test_subspace_automaton_size_bound():
+    # `step` is the larger table where m >= 4 ...
+    assert automaton_entries(5, 4) == subspace_count(5, 4) * 5 ** 4 == 700000
+    assert automaton_entries(3, 5) == subspace_count(3, 5) * 3 ** 5 == 647352
+    assert automaton_entries(4, 4) == 135424
+    # ... and `sub` (q^m x q^m) where m = 2 or 3
+    assert automaton_entries(11, 3) == 11 ** 6 <= MAX_AUTOMATON_ENTRIES
+    assert automaton_entries(13, 3) == 13 ** 6 > MAX_AUTOMATON_ENTRIES
+    assert automaton_entries(3, 2) == 81
+    for q, m in [(4, 5), (2, 7), (64, 2), (127, 2)]:
+        assert automaton_entries(q, m) > MAX_AUTOMATON_ENTRIES
+    assert make_field(3, 1, 6).subspace_automaton() is None
+    # few subspaces, but a 4096 x 4096 `sub`; and a 16129 x 16129 one
+    assert make_field(2, 6, 2).subspace_automaton() is None
+    assert make_field(127, 1, 2, find_primitive_modulus(127, 2)).subspace_automaton() is None
+    step, sub, dim = make_field(3, 1, 2).subspace_automaton()
+    assert len(step) == subspace_count(3, 2) == 6 and len(sub) == 9
+
+
+@pytest.mark.parametrize("fixture", ["f8", "f27", "f64", "f81", "f125", "f256", "f625"])
+def test_subspace_automaton_matches_closed_form(fixture, request):
+    ctx = request.getfixturevalue(fixture)
+    step, sub, dim = ctx.subspace_automaton()
+    q, m, order = ctx.q, ctx.m, ctx.order
+    assert all(sub[a][b] == ctx.sub(a, b) for a in range(order) for b in range(order))
+    assert Counter(dim) == {k: gaussian_binomial(q, m, k) for k in range(m + 1)}
+    # Each state's elements, spanned with the field arithmetic along the
+    # first step that reaches it (states are numbered breadth first), as a
+    # bit mask over the element ints.
+    spans = {0: [0]}
+    masks = [1] + [0] * (len(step) - 1)
+    for s, row in enumerate(step):
+        assert s in spans
+        for x, t in enumerate(row):
+            if t not in spans:
+                spans[t] = list({ctx.add(u, ctx.mul(c, x))
+                                 for u in spans[s] for c in ctx.fq_elems})
+                masks[t] = sum(1 << e for e in spans[t])
+            inside = masks[s] >> x & 1
+            assert (t == s) == bool(inside)
+            assert dim[t] - dim[s] == 1 - inside
+            assert masks[s] & ~masks[t] == 0 and masks[t] >> x & 1
+    assert all(len(spans[s]) == q ** dim[s] for s in spans)
+    assert len(set(masks)) == len(step)

@@ -1,9 +1,18 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from dickson_mrd import linforms as lf
-from dickson_mrd.codes import build_J, build_pi, j_generator, pi_generator
+from dickson_mrd.codes import (
+    build_gabidulin,
+    build_J,
+    build_pi,
+    j_generator,
+    min_distance,
+    pi_generator,
+)
 from dickson_mrd.gfield import make_field
 from dickson_mrd.linalg import fq_rank, mat_mul, mat_transpose
 from reference import decode, encode, ref_add, ref_mul, ref_neg, ref_pow
@@ -134,10 +143,12 @@ def reference_rank(ctx, w1, w2):
     return r // ctx.h
 
 
-@pytest.mark.parametrize("p, h, m", [(3, 1, 3), (2, 2, 3), (5, 1, 3), (3, 1, 4), (2, 1, 5)])
+@pytest.mark.parametrize("p, h, m", [(3, 1, 3), (2, 2, 3), (5, 1, 3), (3, 1, 4), (2, 1, 5),
+                                     (2, 1, 8), (3, 1, 2), (2, 6, 2)])
 def test_column_rank_matches_independent_routes(p, h, m):
     ctx = make_field(p, h, m)
     tables = lf.rank_tables(ctx)
+    echelon = lf.echelon_tables(ctx)
     zero, trace = lf.zero_word(ctx), (1,) * m  # x + x^q + ... has rank 1
     words = all_words_sample(ctx, 60, seed=p * 100 + h * 10 + m)
     pairs = list(zip(words[::2], words[1::2]))
@@ -147,11 +158,47 @@ def test_column_rank_matches_independent_routes(p, h, m):
     for w1, w2 in pairs:
         left, right = lf.linmap_fq_matrix(ctx, w1), lf.linmap_fq_matrix(ctx, w2)
         got = lf.column_rank(left, right, tables)
+        assert got == lf.echelon_rank(left, right, echelon)
         assert got == fq_rank(ctx, [ctx.coords(ctx.sub(a, b)) for a, b in zip(left, right)])
         assert got == lf.dickson_rank(ctx, lf.word_sub(ctx, w1, w2))
         assert got == reference_rank(ctx, w1, w2)
         seen.add(got)
     assert {0, 1, m} <= seen
+
+
+def test_echelon_kernel_beyond_automaton_bound(monkeypatch):
+    # (2, 8) has 417199 subspaces: 107M automaton entries, over the bound
+    ctx = make_field(2, 1, 8)
+    assert lf.rank_tables(ctx) == (None, None, None, lf.echelon_tables(ctx))
+    calls = []
+    original = lf.echelon_rank
+    monkeypatch.setattr(lf, "echelon_rank", lambda *a: calls.append(1) or original(*a))
+    code = build_gabidulin(ctx, 7)
+    assert code.size == 256
+    assert min_distance(code, "bruteforce") == 8
+    assert len(calls) == 256 * 255 // 2
+
+
+def matrices_of_rank(q, m, r):
+    """Number of m x m matrices of rank r over F_q."""
+    num = den = 1
+    for i in range(r):
+        num *= (q ** m - q ** i) ** 2
+        den *= q ** r - q ** i
+    return num // den
+
+
+def test_automaton_kernel_agrees_with_echelon_on_every_map(f27):
+    # every column triple is the difference of some pair against a fixed right
+    tables, echelon = lf.rank_tables(f27), lf.echelon_tables(f27)
+    assert tables[0] is not None
+    right = lf.linmap_fq_matrix(f27, all_words_sample(f27, 1, seed=5)[0])
+    ranks = Counter()
+    for left in itertools.product(range(f27.order), repeat=3):
+        got = lf.column_rank(left, right, tables)
+        assert got == lf.echelon_rank(left, right, echelon)
+        ranks[got] += 1
+    assert ranks == {r: matrices_of_rank(3, 3, r) for r in range(4)}
 
 
 # ----------------------------------------------------------------------
