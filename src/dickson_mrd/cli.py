@@ -22,13 +22,16 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
+from . import cmp_family as cf
 from . import codefile
+from . import geometry as ge
 from .codes import (
     KINDS,
     build_family,
+    build_J,
+    build_pi,
     distance_distribution,
     fq_label,
-    singleton_bound,
     verify_mrd,
 )
 from .gfield import FieldCtx, make_field
@@ -54,12 +57,10 @@ def parse_set(ctx: FieldCtx, text: str) -> List[int]:
 
 
 def _emit(args, payload: dict) -> None:
-    text = codefile.dumps_canonical(payload)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        codefile.write_json(args.out, payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(codefile.dumps_canonical(payload))
 
 
 def _field(args) -> FieldCtx:
@@ -111,18 +112,16 @@ def cmd_verify(args) -> int:
         comp_checks.append(
             {"tag": c.tag(ctx), "size": len(c.words), "expected": expected, "ok": ok}
         )
-    bound = singleton_bound(ctx.q, ctx.m, code.claimed_distance)
-    size_ok = code.size == bound
-    mode = args.mode
-    if mode == "orbit" and not code.has_orbit_structure():
-        mode = "bruteforce"
+    # auto takes the orbit scan when the loaded components allow it
+    mode = "auto" if args.mode == "orbit" else args.mode
     report = verify_mrd(code, mode=mode, threads=args.threads)
+    size_ok = code.size == report.singleton_bound
     ok = size_ok and comps_ok and report.mrd
     _emit(args, {
         "file": str(args.file),
         "field": ctx.describe(),
         "size": code.size,
-        "singleton_bound": bound,
+        "singleton_bound": report.singleton_bound,
         "size_ok": size_ok,
         "components": comp_checks,
         "distance": report.as_dict(),
@@ -147,8 +146,6 @@ def cmd_distdist(args) -> int:
 
 
 def cmd_geometry(args) -> int:
-    from . import geometry as ge
-
     ctx = _field(args)
     I = parse_set(ctx, args.set)
     proj = ge.verify_projective_decomposition(ctx, I)
@@ -158,8 +155,7 @@ def cmd_geometry(args) -> int:
         "projective_decomposition": proj.as_dict(),
     }
     ok = proj.ok
-    n_points = (ctx.q ** (ctx.m * ctx.m) - 1) // (ctx.q - 1)
-    if n_points <= ge.SPREAD_POINT_LIMIT:
+    if ge.spread_point_count(ctx) <= ge.SPREAD_POINT_LIMIT:
         spread = ge.verify_spread_decomposition(ctx, I)
         payload["spread_decomposition"] = spread.as_dict()
         ok &= spread.ok
@@ -184,15 +180,11 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_cmp(args) -> int:
-    from . import cmp_family as cf
-
-    ctx = make_field(args.p, args.h, 3)
+    ctx = _field(args)
     I = parse_set(ctx, args.set)
     match = cf.verify_family_match(ctx, I, threads=args.threads)
     component_maps = {}
     for a in ctx.fq_elems[1:]:
-        from .codes import build_J, build_pi
-
         inv_a = ctx.inv(a)
         gam = frozenset(cf.theta(ctx, w) for w in cf.build_gamma(ctx, a))
         zz = frozenset(cf.theta(ctx, w) for w in cf.build_Z(ctx, a))
@@ -221,11 +213,7 @@ def cmd_cmp(args) -> int:
 
 
 def cmd_splash(args) -> int:
-    from . import cmp_family as cf
-    from . import geometry as ge
-    from .codes import build_J, build_pi
-
-    ctx = make_field(args.p, args.h, 3)
+    ctx = _field(args)
     a = parse_fq_element(ctx, args.a)
     if a == 0:
         raise ValueError("a must be nonzero")
@@ -307,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--set", default="", help="parameter set I")
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_cmp)
+    sp.set_defaults(fn=cmd_cmp, m=3)
 
     sp = sub.add_parser("splash", help="exterior splash reports (m = 3)")
     _add_field_args(sp, with_m=False)
     sp.add_argument("--a", required=True, help="nonzero element of F_q")
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_splash)
+    sp.set_defaults(fn=cmd_splash, m=3)
 
     return ap
 
@@ -322,8 +310,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise ValueError("--threads must be at least 1")
+        for option in ("threads", "sample"):
+            if getattr(args, option, 1) < 1:
+                raise ValueError(f"--{option} must be at least 1")
         return args.fn(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -31,14 +31,24 @@ from .codes import (
     Component,
     MrdReport,
     RankCode,
+    Report,
     _check_fq_param,
+    _scaled_orbit,
     build_axis,
     build_family,
+    build_pi,
     fq_label,
     split_params,
     verify_mrd,
 )
-from .geometry import ProjPoint, exterior_splash, line_through, proj_image
+from .geometry import (
+    ProjPoint,
+    exterior_splash,
+    line_through,
+    proj_image,
+    proj_normalize,
+    proj_points_iter,
+)
 from .linforms import Word, zero_word
 
 
@@ -52,18 +62,11 @@ def build_gamma(ctx: FieldCtx, a: int) -> FrozenSet[Word]:
     of a; size (q^3 - 1)^2 / (q - 1)."""
     _require_plane(ctx)
     _check_fq_param(ctx, a)
-    q = ctx.q
-    mul, powf = ctx.mul, ctx.pow
-    out = set()
+    rows = []
     for x in ctx.norm_fiber(a):
-        xq = powf(x, q)
-        xq1 = mul(xq, x)
-        for c in ctx.exp:
-            out.add((c, mul(c, xq1), mul(c, xq)))
-    expected = (ctx.order - 1) ** 2 // (q - 1)
-    if len(out) != expected:
-        raise RuntimeError("gamma component has unexpected size")
-    return frozenset(out)
+        xq = ctx.pow(x, ctx.q)
+        rows.append((1, ctx.mul(xq, x), xq))
+    return _scaled_orbit(ctx, rows)
 
 
 def build_Z(ctx: FieldCtx, b: int) -> FrozenSet[Word]:
@@ -72,18 +75,11 @@ def build_Z(ctx: FieldCtx, b: int) -> FrozenSet[Word]:
     _require_plane(ctx)
     _check_fq_param(ctx, b)
     beta = ctx.norm_fiber(b)[0]
-    q, s = ctx.q, ctx.subfield_index
-    mul, powf, neg, exp = ctx.mul, ctx.pow, ctx.neg, ctx.exp
-    out = set()
-    for xi in range(s):
-        x = exp[xi]
-        tail = neg(mul(beta, powf(x, q - 1)))
-        for u in exp:
-            out.add((u, mul(u, tail), 0))
-    expected = (ctx.order - 1) ** 2 // (q - 1)
-    if len(out) != expected:
-        raise RuntimeError("Z component has unexpected size")
-    return frozenset(out)
+    rows = [
+        (1, ctx.neg(ctx.mul(beta, ctx.pow(ctx.exp[xi], ctx.q - 1))), 0)
+        for xi in range(ctx.subfield_index)
+    ]
+    return _scaled_orbit(ctx, rows)
 
 
 def build_axis_mid(ctx: FieldCtx) -> FrozenSet[Word]:
@@ -141,7 +137,7 @@ def theta_image_code(ctx: FieldCtx, fam: RankCode) -> RankCode:
 
 
 @dataclass(frozen=True)
-class FamilyMatchReport:
+class FamilyMatchReport(Report):
     I: Tuple[str, ...]
     inverse_I: Tuple[str, ...]
     component_matches: Dict[str, bool]
@@ -151,16 +147,6 @@ class FamilyMatchReport:
     @property
     def ok(self) -> bool:
         return self.set_equal and all(self.component_matches.values()) and self.mrd.mrd
-
-    def as_dict(self) -> dict:
-        return {
-            "I": list(self.I),
-            "inverse_I": list(self.inverse_I),
-            "component_matches": dict(self.component_matches),
-            "set_equal": self.set_equal,
-            "mrd": self.mrd.as_dict(),
-            "ok": self.ok,
-        }
 
 
 def verify_family_match(ctx: FieldCtx, I: Sequence[int], threads: int = 1) -> FamilyMatchReport:
@@ -203,8 +189,6 @@ def curve_equation_holds(ctx: FieldCtx, p: ProjPoint) -> bool:
 def curve_points(ctx: FieldCtx) -> FrozenSet[ProjPoint]:
     """All points of PG(2, q^3) on the curve X1 * X2^q - X3^(q+1) = 0."""
     _require_plane(ctx)
-    from .geometry import proj_points_iter
-
     return frozenset(p for p in proj_points_iter(ctx) if curve_equation_holds(ctx, p))
 
 
@@ -214,7 +198,7 @@ def norm_fiber_points_on_u(ctx: FieldCtx, value: int) -> FrozenSet[ProjPoint]:
 
 
 @dataclass(frozen=True)
-class CurveSplashReport:
+class CurveSplashReport(Report):
     parameter: int
     splash_size: int
     expected_size: int
@@ -236,19 +220,6 @@ class CurveSplashReport:
             and self.theta_consistent
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "parameter": self.parameter,
-            "splash_size": self.splash_size,
-            "expected_size": self.expected_size,
-            "splash_is_norm_fiber": self.splash_is_norm_fiber,
-            "expected_norm_value": self.expected_norm_value,
-            "z_norm_value": self.z_norm_value,
-            "equals_z_image": self.equals_z_image,
-            "theta_consistent": self.theta_consistent,
-            "ok": self.ok,
-        }
-
 
 def verify_curve_splash(ctx: FieldCtx, a: int) -> CurveSplashReport:
     """Brute-force the exterior splash of the gamma(a) image on the line
@@ -257,8 +228,6 @@ def verify_curve_splash(ctx: FieldCtx, a: int) -> CurveSplashReport:
     image on the line X2 = 0."""
     _require_plane(ctx)
     _check_fq_param(ctx, a)
-    from .codes import build_pi
-
     u_line = line_through(ctx, (1, 0, 0), (0, 1, 0))
     gamma_img = proj_image(ctx, build_gamma(ctx, a))
     splash = exterior_splash(ctx, gamma_img, u_line)
@@ -273,23 +242,14 @@ def verify_curve_splash(ctx: FieldCtx, a: int) -> CurveSplashReport:
     w_line = line_through(ctx, (1, 0, 0), (0, 0, 1))
     pi_img = proj_image(ctx, build_pi(ctx, inv_a))
     pi_splash = exterior_splash(ctx, pi_img, w_line)
-    mapped = frozenset(
-        tuple(x for x in _normalized_theta(ctx, p)) for p in splash
-    )
-    per = (ctx.order - 1) // (ctx.q - 1)
+    mapped = frozenset(proj_normalize(ctx, theta(ctx, p)) for p in splash)
     return CurveSplashReport(
         parameter=a,
         splash_size=len(splash),
-        expected_size=per,
+        expected_size=ctx.subfield_index,
         splash_is_norm_fiber=(splash == fiber_pts),
         expected_norm_value=fq_label(ctx, target),
         z_norm_value=fq_label(ctx, ctx.neg(a)),
         equals_z_image=(splash == z_img),
         theta_consistent=(mapped == pi_splash),
     )
-
-
-def _normalized_theta(ctx: FieldCtx, p: ProjPoint) -> ProjPoint:
-    from .geometry import proj_normalize
-
-    return proj_normalize(ctx, theta(ctx, p))

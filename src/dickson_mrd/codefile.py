@@ -27,7 +27,10 @@ def dumps_canonical(obj) -> str:
 
 
 def write_json(path: Union[str, Path], obj) -> None:
-    Path(path).write_text(dumps_canonical(obj), encoding="utf-8")
+    """Write the `dumps_canonical` text in chunks, without holding it whole."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def read_json(path: Union[str, Path]):

@@ -25,7 +25,7 @@ import os
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import multiprocessing
@@ -413,24 +413,28 @@ def distance_distribution(code: RankCode, threads: int = 1) -> Dict[int, int]:
     return dict(sorted(total.items()))
 
 
+class Report:
+    """Base of the frozen report dataclasses.  `as_dict` gives every field,
+    a nested report as its own dict, and `ok` where the type defines it."""
+
+    def as_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.as_dict() if isinstance(value, Report) else value
+        if hasattr(type(self), "ok"):
+            out["ok"] = self.ok
+        return out
+
+
 @dataclass(frozen=True)
-class MrdReport:
+class MrdReport(Report):
     size: int
     singleton_bound: int
     claimed_distance: int
     min_distance: int
     mrd: bool
     mode: str
-
-    def as_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "singleton_bound": self.singleton_bound,
-            "claimed_distance": self.claimed_distance,
-            "min_distance": self.min_distance,
-            "mrd": self.mrd,
-            "mode": self.mode,
-        }
 
 
 def verify_mrd(code: RankCode, mode: str = "auto", threads: int = 1) -> MrdReport:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from .codes import KINDS, build_J, build_pi, fq_label, kind_component, split_params
+from .codes import KINDS, Report, build_J, build_pi, fq_label, kind_component, split_params
 from .gfield import FieldCtx
 from .linalg import fq_rank, mat_inv, mat_mul, mat_rank, mat_transpose, mat_vec
 from .linforms import Word, dickson, word_scale
@@ -148,19 +148,26 @@ def cyclic_reduce(ctx: FieldCtx, v: Sequence[int]) -> Tuple[Tuple[int, ...], ...
     return dickson(ctx, tuple(v))
 
 
+def _both_reductions(ctx: FieldCtx, w: Sequence[int]) -> Tuple[TensorMat, TensorMat]:
+    """(cyclic_reduce(w), field_reduce(C^-1 w)): both routes, once each."""
+    _, cinv = singer_change_of_basis(ctx)
+    return cyclic_reduce(ctx, w), field_reduce(ctx, mat_vec(ctx, cinv, w))
+
+
+def _congruent(ctx: FieldCtx, d: TensorMat, x: TensorMat) -> bool:
+    """d == C * x * C^T, with the F_q entries of x lifted into F_{q^m}."""
+    c, _ = singer_change_of_basis(ctx)
+    xe = tuple(tuple(ctx.fq_elem(e) for e in row) for row in x)
+    return d == mat_mul(ctx, mat_mul(ctx, c, xe), mat_transpose(c))
+
+
 def check_reduction_congruence(ctx: FieldCtx, w: Sequence[int]) -> bool:
     """cyclic_reduce(w) == C * field_reduce(C^-1 w) * C^T, entrywise."""
-    c, cinv = singer_change_of_basis(ctx)
-    u = mat_vec(ctx, cinv, w)
-    x = field_reduce(ctx, u)
-    xe = tuple(tuple(ctx.fq_elem(e) for e in row) for row in x)
-    lhs = cyclic_reduce(ctx, w)
-    rhs = mat_mul(ctx, mat_mul(ctx, c, xe), mat_transpose(c))
-    return lhs == rhs
+    return _congruent(ctx, *_both_reductions(ctx, w))
 
 
 @dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(Report):
     checked: int
     congruence_failures: int
     rank_failures: int
@@ -168,14 +175,6 @@ class ReductionReport:
     @property
     def ok(self) -> bool:
         return self.congruence_failures == 0 and self.rank_failures == 0
-
-    def as_dict(self) -> dict:
-        return {
-            "checked": self.checked,
-            "congruence_failures": self.congruence_failures,
-            "rank_failures": self.rank_failures,
-            "ok": self.ok,
-        }
 
 
 def reduction_sample(ctx: FieldCtx, count: int,
@@ -194,16 +193,13 @@ def reduction_sample(ctx: FieldCtx, count: int,
 def verify_reduction_equivalence(ctx: FieldCtx,
                                  sample: Sequence[Sequence[int]]) -> ReductionReport:
     """Check the two field-reduction routes agree (congruence and rank)
-    on every sampled vector."""
-    _, cinv = singer_change_of_basis(ctx)
+    on every sampled vector; each route is computed once per vector."""
     bad_cong = 0
     bad_rank = 0
     for w in sample:
-        if not check_reduction_congruence(ctx, w):
-            bad_cong += 1
-        u = mat_vec(ctx, cinv, w)
-        if mat_rank(ctx, cyclic_reduce(ctx, w)) != tensor_rank(ctx, field_reduce(ctx, u)):
-            bad_rank += 1
+        d, x = _both_reductions(ctx, w)
+        bad_cong += not _congruent(ctx, d, x)
+        bad_rank += mat_rank(ctx, d) != tensor_rank(ctx, x)
     return ReductionReport(len(sample), bad_cong, bad_rank)
 
 
@@ -254,13 +250,18 @@ class SpreadElement:
     points: FrozenSet[Word]
 
 
+def spread_point_count(ctx: FieldCtx) -> int:
+    """Number of points of PG(m^2-1, q)."""
+    return (ctx.q ** (ctx.m * ctx.m) - 1) // (ctx.q - 1)
+
+
 def spread_partition(ctx: FieldCtx) -> List[SpreadElement]:
     """The full partition of PG(m^2-1, q) into F_{q^m}-line classes,
     with cover and disjointness verified."""
-    n_points = (ctx.q ** (ctx.m * ctx.m) - 1) // (ctx.q - 1)
+    n_points = spread_point_count(ctx)
     if n_points > SPREAD_POINT_LIMIT:
         raise ValueError(f"spread with {n_points} points exceeds the desk bound")
-    per = (ctx.order - 1) // (ctx.q - 1)
+    per = ctx.subfield_index
     elements = []
     seen: Set[Word] = set()
     total = 0
@@ -348,16 +349,24 @@ class HyperregulusReport:
             and self.norm_condition_ok
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "members": len(self.members),
-            "expected_members": self.expected_members,
-            "members_are_line_classes": self.members_are_line_classes,
-            "pairwise_disjoint": self.pairwise_disjoint,
-            "covers_component": self.covers_component,
-            "norm_condition_ok": self.norm_condition_ok,
-            "ok": self.ok,
-        }
+
+def line_classes(ctx: FieldCtx, words: Iterable[Word]) -> Dict[ProjPoint, FrozenSet[Word]]:
+    """The F_q-classes of nonzero words grouped by the F_{q^m}-line they
+    span, keyed by the line's normalized point, in ascending key order."""
+    groups: Dict[ProjPoint, Set[Word]] = {}
+    for w in words:
+        groups.setdefault(proj_normalize(ctx, w), set()).add(fq_canonical(ctx, w))
+    return {rep: frozenset(g) for rep, g in sorted(groups.items())}
+
+
+def _disjoint_union(point_sets: Iterable[FrozenSet]) -> Tuple[bool, Set]:
+    """(whether the sets are pairwise disjoint, their union)."""
+    union: Set = set()
+    disjoint = True
+    for pts in point_sets:
+        disjoint = disjoint and union.isdisjoint(pts)
+        union |= pts
+    return disjoint, union
 
 
 def hyperregulus(ctx: FieldCtx, a: int) -> HyperregulusReport:
@@ -372,22 +381,12 @@ def hyperregulus(ctx: FieldCtx, a: int) -> HyperregulusReport:
     if a == 0:
         raise ValueError("parameter must be nonzero")
     component = build_J(ctx, a)
-    image = fq_classes(ctx, component)
-    groups: Dict[ProjPoint, Set[Word]] = {}
-    for w in component:
-        groups.setdefault(proj_normalize(ctx, w), set()).add(fq_canonical(ctx, w))
-    members = tuple(frozenset(g) for _, g in sorted(groups.items()))
-    per = (ctx.order - 1) // (ctx.q - 1)
+    groups = line_classes(ctx, component)
+    members = tuple(groups.values())
     line_ok = all(
-        member == spread_element_points(ctx, rep)
-        for rep, member in sorted(groups.items())
+        member == spread_element_points(ctx, rep) for rep, member in groups.items()
     )
-    union: Set[Word] = set()
-    disjoint = True
-    for member in members:
-        if union & member:
-            disjoint = False
-        union |= member
+    disjoint, union = _disjoint_union(members)
     target = ctx.neg(a) if ctx.m % 2 else a
     norm_ok = all(
         rep[0] == 1
@@ -398,10 +397,10 @@ def hyperregulus(ctx: FieldCtx, a: int) -> HyperregulusReport:
     return HyperregulusReport(
         parameter=a,
         members=members,
-        expected_members=per,
+        expected_members=ctx.subfield_index,
         members_are_line_classes=line_ok,
         pairwise_disjoint=disjoint,
-        covers_component=(union == image),
+        covers_component=(union == fq_classes(ctx, component)),
         norm_condition_ok=norm_ok,
     )
 
@@ -419,14 +418,11 @@ def pairwise_intersections(point_sets: Sequence[FrozenSet]) -> List[List[int]]:
 
 
 def all_disjoint(point_sets: Sequence[FrozenSet]) -> bool:
-    mat = pairwise_intersections(point_sets)
-    return all(
-        mat[i][j] == 0 for i in range(len(mat)) for j in range(len(mat)) if i != j
-    )
+    return _disjoint_union(point_sets)[0]
 
 
 @dataclass(frozen=True)
-class ProjectiveDecompositionReport:
+class ProjectiveDecompositionReport(Report):
     """Image of the family in PG(m-1, q^m): two points, |I| subgeometries,
     and q-1-|I| scattered sets on the line joining the two points."""
 
@@ -440,17 +436,6 @@ class ProjectiveDecompositionReport:
     @property
     def ok(self) -> bool:
         return self.sizes_ok and self.disjoint and self.j_on_line
-
-    def as_dict(self) -> dict:
-        return {
-            "component_sizes": dict(self.component_sizes),
-            "expected_size": self.expected_size,
-            "sizes_ok": self.sizes_ok,
-            "disjoint": self.disjoint,
-            "j_on_line": self.j_on_line,
-            "intersections": [list(row) for row in self.intersections],
-            "ok": self.ok,
-        }
 
 
 def component_images(ctx: FieldCtx, I: Sequence[int]) -> List[Tuple[str, FrozenSet[ProjPoint]]]:
@@ -467,7 +452,7 @@ def verify_projective_decomposition(ctx: FieldCtx, I: Sequence[int]) -> Projecti
         raise ValueError("I must be nonempty")
     m = ctx.m
     named = component_images(ctx, I)
-    per = (ctx.order - 1) // (ctx.q - 1)
+    per = ctx.subfield_index
     sizes = {name: len(pts) for name, pts in named}
     sizes_ok = all(
         len(pts) == (1 if name.startswith("A") else per) for name, pts in named
@@ -488,7 +473,7 @@ def verify_projective_decomposition(ctx: FieldCtx, I: Sequence[int]) -> Projecti
 
 
 @dataclass(frozen=True)
-class SpreadDecompositionReport:
+class SpreadDecompositionReport(Report):
     """Image of the family in PG(m^2-1, q): two spread elements, |I| Segre
     varieties, q-1-|I| hyperreguli, with the J/A part inside the subspace
     spanned by the two spread elements."""
@@ -515,29 +500,12 @@ class SpreadDecompositionReport:
             and self.image_in_spread
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "axis_elements_ok": self.axis_elements_ok,
-            "segre_counts": dict(self.segre_counts),
-            "segre_equivalent": self.segre_equivalent,
-            "hyperreguli_ok": dict(self.hyperreguli_ok),
-            "spread_elements_used": self.spread_elements_used,
-            "expected_spread_elements": self.expected_spread_elements,
-            "elements_disjoint": self.elements_disjoint,
-            "ja_in_span": self.ja_in_span,
-            "image_in_spread": self.image_in_spread,
-            "ok": self.ok,
-        }
-
 
 def verify_spread_decomposition(ctx: FieldCtx, I: Sequence[int]) -> SpreadDecompositionReport:
     iset, rest = split_params(ctx, I)
     if not iset:
         raise ValueError("I must be nonempty")
-    n_points = (ctx.q ** (ctx.m * ctx.m) - 1) // (ctx.q - 1)
-    if n_points > SPREAD_POINT_LIMIT:
-        raise ValueError("parameters exceed the full-spread desk bound")
-    per = (ctx.order - 1) // (ctx.q - 1)
+    per = ctx.subfield_index
     spread = {el.rep: el.points for el in spread_partition(ctx)}
 
     used_elements: List[FrozenSet[Word]] = []
@@ -555,16 +523,13 @@ def verify_spread_decomposition(ctx: FieldCtx, I: Sequence[int]) -> SpreadDecomp
     segre_equiv = True
     image_in_spread = True
     for a in iset:
-        image = fq_classes(ctx, build_pi(ctx, a))
+        groups = line_classes(ctx, build_pi(ctx, a))
+        image = frozenset().union(*groups.values())
         segre_counts[f"PI({fq_label(ctx, a)})"] = len(image)
         alpha = ctx.norm_fiber(a)[0]
         mapped = frozenset(fq_canonical(ctx, tau(ctx, alpha, w)) for w in base_segre)
         segre_equiv &= mapped == image and len(image) == per * per
-        groups: Dict[ProjPoint, Set[Word]] = {}
-        for w in build_pi(ctx, a):
-            groups.setdefault(proj_normalize(ctx, w), set()).add(fq_canonical(ctx, w))
-        for rep, pts in sorted(groups.items()):
-            pts = frozenset(pts)
+        for rep, pts in groups.items():
             image_in_spread &= spread[rep] == pts
             used_elements.append(pts)
 
@@ -573,13 +538,6 @@ def verify_spread_decomposition(ctx: FieldCtx, I: Sequence[int]) -> SpreadDecomp
         used_elements.extend(rep_report.members)
 
     expected = 2 + len(iset) * per + len(rest) * per
-    union: Set[Word] = set()
-    disjoint = True
-    for pts in used_elements:
-        if union & pts:
-            disjoint = False
-        union |= pts
-
     return SpreadDecompositionReport(
         axis_elements_ok=axis_ok,
         segre_counts=segre_counts,
@@ -587,7 +545,7 @@ def verify_spread_decomposition(ctx: FieldCtx, I: Sequence[int]) -> SpreadDecomp
         hyperreguli_ok={tag: rep_report.ok for tag, rep_report in hyper.items()},
         spread_elements_used=len(used_elements),
         expected_spread_elements=expected,
-        elements_disjoint=disjoint,
+        elements_disjoint=_disjoint_union(used_elements)[0],
         ja_in_span=ja_in_span,
         image_in_spread=image_in_spread,
     )
@@ -610,7 +568,7 @@ def dickson_side_subchecks(ctx: FieldCtx, I: Sequence[int]) -> dict:
     iset, rest = split_params(ctx, I)
     if not iset:
         raise ValueError("I must be nonempty")
-    per = (ctx.order - 1) // (ctx.q - 1)
+    per = ctx.subfield_index
     segre_ok = {
         f"PI({fq_label(ctx, a)})": len(fq_classes(ctx, build_pi(ctx, a))) == per * per
         for a in iset

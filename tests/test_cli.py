@@ -1,5 +1,7 @@
+import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -87,6 +89,20 @@ def test_code_file_roundtrip_through_dict(f27):
     again = codefile.code_from_dict(doc)
     assert again.words == fam.words
     assert codefile.code_to_dict(again) == doc
+
+
+def test_write_json_streams(tmp_path, f27):
+    # the file is written in chunks, not built as one string first
+    doc = codefile.code_to_dict(cd.build_family(f27, [2]))
+    out = tmp_path / "fam.json"
+    tracemalloc.start()
+    try:
+        codefile.write_json(out, doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text() == codefile.dumps_canonical(doc)
+    assert peak < out.stat().st_size
 
 
 def test_verify_truncated_file_fails(tmp_path, capsys):
@@ -205,6 +221,26 @@ def test_splash_command(capsys):
     assert rep["expected_parameter"] == "1"  # 2^2 = 1 in F_3
 
 
+@pytest.mark.parametrize("sample", ["0", "-5"])
+def test_geometry_sample_below_one_exits_two(capsys, sample):
+    code, text, err = run(capsys, "geometry", "--p", "3", "--m", "3",
+                          "--set", "2", "--sample", sample)
+    assert code == 2 and text == ""
+    assert err.splitlines() == ["error: --sample must be at least 1"]
+
+
+@pytest.mark.parametrize("command", [["cmp", "--set", "2"], ["splash", "--a", "2"]])
+def test_cmp_and_splash_honour_modulus(capsys, command):
+    # x^3 + 1 is reducible over F_3
+    code, text, err = run(capsys, *command, "--p", "3", "--modulus", "1,0,0,1")
+    assert code == 2 and text == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    code, text, _ = run(capsys, *command, "--p", "3", "--modulus", "1,0,2,1")
+    assert code == 0
+    assert json.loads(text)["field"]["modulus"] == [1, 0, 2, 1]
+
+
 def test_geometry_command_with_points(tmp_path, capsys):
     out = tmp_path / "geo.json"
     code, _, _ = run(capsys, "geometry", "--p", "3", "--m", "3",
@@ -285,3 +321,40 @@ def test_file_huge_field_exits_two_quickly(tmp_path, capsys, f27, key, value):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "exceeds bound" in lines[0]
+
+
+# ----------------------------------------------------------------------
+# byte identity of the reports
+# ----------------------------------------------------------------------
+
+# sha256 of stdout, or of the written file for `build`, run in this order
+# from one working directory (`verify` and `distdist` echo the file name)
+PINNED_OUTPUTS = [
+    (["field-info", "--p", "3", "--m", "3"],
+     "99100efeb4b0eda9a56088f4dfa1247e216f2f0460496f732f095b21f3554acd"),
+    (["build", "--p", "3", "--m", "3", "--set", "2", "--out", "fam.json"],
+     "0dd3975d416d51ebeed1247fd72d7573f09ec9cd83821b44aba9befbc98b82aa"),
+    (["verify", "fam.json", "--mode", "orbit"],
+     "01a0e0574f5f182961b9185b49accbd508761349eda320ad503f09bb672bee50"),
+    (["verify", "fam.json"],
+     "ab9b2649be37ce900c7739ecb5a4805c367f60dc11f12847c18f25c3a7bfbf07"),
+    (["distdist", "fam.json", "--format", "json"],
+     "dd5aae03e768ec06d2b3df95d06c89b7f39eb1b1bfbd8768f985018e701601e1"),
+    (["geometry", "--p", "3", "--m", "3", "--set", "2", "--sample", "200", "--points"],
+     "f0a6275ef9c5505a19ca8e848f1a53173e93d9de0abbf8c1b365e05b742fa44d"),
+    (["geometry", "--p", "2", "--h", "2", "--m", "3", "--set", "g21,g42", "--sample", "100"],
+     "441a924adc9a28af2486a812779e135f98eb09582c60c3469db59c46ed66ac46"),
+    (["cmp", "--p", "3", "--set", "2"],
+     "68f8063f4d9033e6276aeece53acfd4af8536560007bc6dc6d685c91355ae7fc"),
+    (["splash", "--p", "5", "--a", "2"],
+     "b4bdbacac258b439eea3d24a9152839f2782c41486be9de998dc7eb29eea71d1"),
+]
+
+
+def test_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv, digest in PINNED_OUTPUTS:
+        code, text, _ = run(capsys, *argv)
+        assert code == 0, argv
+        data = (tmp_path / argv[-1]).read_bytes() if argv[0] == "build" else text.encode()
+        assert hashlib.sha256(data).hexdigest() == digest, argv

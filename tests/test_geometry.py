@@ -419,3 +419,16 @@ def test_decomposition_reports_reject_one_in_I(f27, check):
         check(f27, [1])
     with pytest.raises(ValueError, match="subset"):
         check(f27, [2, 1])
+
+
+def test_reduction_check_counts_both_failures_on_every_vector(f27, monkeypatch):
+    sample = ge.reduction_sample(f27, 20)
+    with monkeypatch.context() as mp:
+        mp.setattr(ge, "tensor_rank", lambda ctx, t: -1)
+        rep = ge.verify_reduction_equivalence(f27, sample)
+    assert (rep.checked, rep.congruence_failures, rep.rank_failures) == (20, 0, 20)
+    with monkeypatch.context() as mp:
+        mp.setattr(ge, "mat_mul", lambda ctx, a, b: ())
+        rep = ge.verify_reduction_equivalence(f27, sample)
+    assert (rep.checked, rep.congruence_failures, rep.rank_failures) == (20, 20, 0)
+    assert not rep.ok
