@@ -32,6 +32,7 @@ from .codes import (
     build_pi,
     distance_distribution,
     fq_label,
+    kind_size,
     verify_mrd,
 )
 from .gfield import FieldCtx, make_field
@@ -105,8 +106,7 @@ def cmd_verify(args) -> int:
     comp_checks = []
     comps_ok = True
     for c in code.components:
-        spec = KINDS.get(c.kind)
-        expected = spec.size(ctx) if spec is not None else None
+        expected = kind_size(ctx, c.kind, c.a) if c.kind in KINDS else None
         ok = expected is None or len(c.words) == expected
         comps_ok &= ok
         comp_checks.append(

@@ -130,7 +130,7 @@ def theta_image_code(ctx: FieldCtx, fam: RankCode) -> RankCode:
         kind = _THETA_KIND[c.kind]
         a = ctx.inv(c.a) if c.a is not None else None
         mapped = frozenset(theta(ctx, w) for w in c.words)
-        comps.append(Component(kind, a, mapped, KINDS[kind].generator(ctx, a)))
+        comps.append(Component(kind, a, mapped, KINDS[kind](ctx, a)))
     order = {kind: i for i, kind in enumerate(KINDS)}
     comps.sort(key=lambda c: (order[c.kind], ctx.fq_index(c.a) if c.a is not None else 0))
     return RankCode.assemble(ctx, 2, comps)

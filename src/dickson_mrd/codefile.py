@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
 from .gfield import FieldCtx, make_field
-from .codes import Component, RankCode, checked_orbit_rep
+from .codes import Component, RankCode, checked_orbit_rep, component_union
 from .linforms import Word
 
 CODE_FORMAT = "rank-code/v1"
@@ -118,8 +118,8 @@ def code_from_dict(d: dict) -> RankCode:
     """Rebuild a code from its file form.
 
     A missing key, or a value of the wrong JSON type, raises ValueError.  A
-    component keeps its kind's orbit representative only if its words are
-    exactly that kind's orbit (see `checked_orbit_rep`); otherwise it is
+    component keeps its kind's orbit representative only if its words equal
+    the orbit its kind and parameter generate (`checked_orbit_rep`); else it is
     downgraded to plain membership, so a tampered file still loads and
     verification falls back to brute force and reports the damage.
     """
@@ -139,12 +139,10 @@ def code_from_dict(d: dict) -> RankCode:
         a = None if cd.get("a") is None else element_from_list(ctx, _require(cd, "a", list))
         words = frozenset(word_from_lists(ctx, w) for w in _require(cd, "words", list))
         comps.append(Component(kind, a, words, checked_orbit_rep(ctx, kind, a, words)))
-    words_union: set = set()
-    for c in comps:
-        if words_union & c.words:
-            raise ValueError("file components overlap")
-        words_union |= c.words
-    return RankCode(ctx, claimed, tuple(comps), frozenset(words_union))
+    words = component_union(comps)
+    if words is None:
+        raise ValueError("file components overlap")
+    return RankCode(ctx, claimed, tuple(comps), words)
 
 
 def save_code(path: Union[str, Path], code: RankCode) -> None:

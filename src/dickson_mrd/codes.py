@@ -14,6 +14,12 @@ w -> (c a_0 x, c a_1 x^q, ...), which is what the `orbit` distance mode
 exploits: rank distance is invariant under that action, so one fixed
 representative per component suffices on one side of every pair.
 
+The registry `KINDS` holds one generator per kind and nothing else;
+`kind_component` derives the whole orbit from it (its twists by x, scaled
+to a leading 1, closed under scalars), and a loaded component is trusted as
+an orbit exactly when it equals the orbit its kind and parameter generate
+(`checked_orbit_rep`).
+
 The Gabidulin evaluation code (words supported on the first m-s coordinates)
 serves as the linear baseline.
 """
@@ -26,7 +32,7 @@ import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import multiprocessing
 
@@ -96,20 +102,17 @@ class RankCode:
     @staticmethod
     def assemble(ctx: FieldCtx, claimed_distance: int,
                  components: Sequence[Component]) -> "RankCode":
-        words: set = set()
-        total = 0
         for comp in components:
-            total += len(comp.words)
-            words |= comp.words
             if comp.orbit_rep is not None and comp.orbit_rep not in comp.words:
                 raise ValueError(f"orbit representative missing from {comp.kind}")
-        if total != len(words):
+        words = component_union(components)
+        if words is None:
             raise ValueError("components overlap")
         has_zero = zero_word(ctx) in words
         tagged_zero = any(c.kind == "ZERO" for c in components)
         if has_zero != tagged_zero:
             raise ValueError("zero word must appear exactly in a ZERO component")
-        code = RankCode(ctx, claimed_distance, tuple(components), frozenset(words))
+        code = RankCode(ctx, claimed_distance, tuple(components), words)
         if code.size > singleton_bound(ctx.q, ctx.m, claimed_distance):
             raise ValueError("size exceeds the Singleton-like bound")
         return code
@@ -126,6 +129,16 @@ class RankCode:
         if zw in words:
             comps.append(Component("ZERO", None, frozenset([zw]), orbit_rep=None))
         return RankCode.assemble(ctx, claimed_distance, comps)
+
+
+def component_union(components: Sequence[Component]) -> Optional[FrozenSet[Word]]:
+    """The union of the components' words, or None when two of them share a word."""
+    words: set = set()
+    for comp in components:
+        words |= comp.words
+    if len(words) != sum(len(comp.words) for comp in components):
+        return None
+    return frozenset(words)
 
 
 def singleton_bound(q: int, m: int, d: int) -> int:
@@ -164,40 +177,39 @@ def pi_generator(ctx: FieldCtx, a: int) -> Word:
     return tuple(ctx.pow(alpha, (q ** k - 1) // (q - 1)) for k in range(ctx.m))
 
 
-def build_pi(ctx: FieldCtx, a: int) -> FrozenSet[Word]:
-    """All words (u x, u alpha x^q, ..., u alpha^(1+...+q^(m-2)) x^(q^(m-1)))
-    over nonzero u, x; independent of which alpha has norm a."""
-    _check_fq_param(ctx, a)
-    alpha = ctx.norm_fiber(a)[0]
-    return _scaled_orbit(ctx, _pi_base_rows(ctx, alpha))
-
-
-def _pi_base_rows(ctx: FieldCtx, alpha: int) -> List[Word]:
-    q, m, s = ctx.q, ctx.m, ctx.subfield_index
-    mul, powf, exp = ctx.mul, ctx.pow, ctx.exp
-    apow = [powf(alpha, (q ** k - 1) // (q - 1)) for k in range(m)]
-    rows = []
-    for xi in range(s):
-        x = exp[xi]
-        rows.append(tuple(mul(apow[k], powf(x, q ** k - 1)) for k in range(m)))
-    return rows
-
-def build_J(ctx: FieldCtx, b: int) -> FrozenSet[Word]:
-    """All words (u x, 0, ..., 0, -u beta x^(q^(m-1))), beta of norm b."""
+def j_generator(ctx: FieldCtx, b: int) -> Word:
+    """The word (1, 0, ..., 0, -beta) with beta the first norm-fiber
+    element over b; its Singer-pair orbit is J(b)."""
     _check_fq_param(ctx, b)
     beta = ctx.norm_fiber(b)[0]
-    return _scaled_orbit(ctx, _j_base_rows(ctx, beta))
+    return (1,) + (0,) * (ctx.m - 2) + (ctx.neg(beta),)
 
 
-def _j_base_rows(ctx: FieldCtx, beta: int) -> List[Word]:
-    q, m, s = ctx.q, ctx.m, ctx.subfield_index
-    mul, powf, exp, neg = ctx.mul, ctx.pow, ctx.exp, ctx.neg
-    mid = (0,) * (m - 2)
-    rows = []
-    for xi in range(s):
-        x = exp[xi]
-        rows.append((1,) + mid + (neg(mul(beta, powf(x, q ** (m - 1) - 1))),))
-    return rows
+# The generator of each kind's Singer-pair orbit, in family component order.
+# PI and J take their F_q parameter `a`; the other kinds ignore it.
+KINDS: Dict[str, Callable[[FieldCtx, Optional[int]], Word]] = {
+    "PI": pi_generator,
+    "J": j_generator,
+    "A1": lambda ctx, a: (1,) + (0,) * (ctx.m - 1),
+    "A2": lambda ctx, a: (0,) * (ctx.m - 1) + (1,),
+    "ZERO": lambda ctx, a: zero_word(ctx),
+}
+
+
+def _base_rows(ctx: FieldCtx, w: Word) -> List[Word]:
+    """The twists (w_k x^(q^k - 1))_k of w for x = g^0, ..., g^(s-1), each
+    scaled so its first nonzero entry is 1, without repeats.  x^(q^k - 1)
+    only depends on the class of x modulo F_q*, so the scalar multiples of
+    these rows are the Singer-pair orbit of a nonzero w."""
+    q, mul, powf = ctx.q, ctx.mul, ctx.pow
+    rows: Dict[Word, None] = {}
+    for x in ctx.exp[:ctx.subfield_index]:
+        twist = [mul(c, powf(x, q ** k - 1)) for k, c in enumerate(w)]
+        lead = next((c for c in twist if c), 0)
+        if lead:
+            inv = ctx.inv(lead)
+            rows[tuple(mul(inv, c) for c in twist)] = None
+    return list(rows)
 
 
 def _scaled_orbit(ctx: FieldCtx, rows: Sequence[Word]) -> FrozenSet[Word]:
@@ -213,76 +225,44 @@ def _scaled_orbit(ctx: FieldCtx, rows: Sequence[Word]) -> FrozenSet[Word]:
     return frozenset(out)
 
 
-def j_generator(ctx: FieldCtx, b: int) -> Word:
-    _check_fq_param(ctx, b)
-    beta = ctx.norm_fiber(b)[0]
-    return (1,) + (0,) * (ctx.m - 2) + (ctx.neg(beta),)
+def kind_size(ctx: FieldCtx, kind: str, a: Optional[int] = None) -> int:
+    """The size of the Singer-pair orbit of a registry kind."""
+    return len(_base_rows(ctx, KINDS[kind](ctx, a))) * ctx.mult_order or 1
+
+
+def kind_component(ctx: FieldCtx, kind: str, a: Optional[int] = None) -> Component:
+    """The whole Singer-pair orbit of a registry kind, tagged with its generator."""
+    w = KINDS[kind](ctx, a)
+    rows = _base_rows(ctx, w)
+    return Component(kind, a, _scaled_orbit(ctx, rows) if rows else frozenset([w]), w)
+
+
+def build_pi(ctx: FieldCtx, a: int) -> FrozenSet[Word]:
+    """All words (u x, u alpha x^q, ..., u alpha^(1+...+q^(m-2)) x^(q^(m-1)))
+    over nonzero u, x; independent of which alpha has norm a."""
+    return kind_component(ctx, "PI", a).words
+
+
+def build_J(ctx: FieldCtx, b: int) -> FrozenSet[Word]:
+    """All words (u x, 0, ..., 0, -u beta x^(q^(m-1))), beta of norm b."""
+    return kind_component(ctx, "J", b).words
 
 
 def build_axis(ctx: FieldCtx, i: int) -> FrozenSet[Word]:
     """A1 (i=1): words (x, 0, ..., 0).  A2 (i=2): words (0, ..., 0, x)."""
     if i not in (1, 2):
         raise ValueError("axis index must be 1 or 2")
-    m = ctx.m
-    if i == 1:
-        return frozenset((x,) + (0,) * (m - 1) for x in ctx.nonzero())
-    return frozenset((0,) * (m - 1) + (x,) for x in ctx.nonzero())
-
-
-def _pair_orbit_size(ctx: FieldCtx) -> int:
-    return (ctx.order - 1) ** 2 // (ctx.q - 1)
-
-
-class KindSpec(NamedTuple):
-    """What the family knows about one component kind: the generator of its
-    Singer-pair orbit, the builder of the whole orbit, and the orbit size.
-    PI and J take their F_q parameter `a`; the other kinds ignore it."""
-
-    generator: Callable[[FieldCtx, Optional[int]], Word]
-    build: Callable[[FieldCtx, Optional[int]], FrozenSet[Word]]
-    size: Callable[[FieldCtx], int]
-
-
-# In family component order.
-KINDS: Dict[str, KindSpec] = {
-    "PI": KindSpec(pi_generator, build_pi, _pair_orbit_size),
-    "J": KindSpec(j_generator, build_J, _pair_orbit_size),
-    "A1": KindSpec(lambda ctx, a: (1,) + (0,) * (ctx.m - 1),
-                   lambda ctx, a: build_axis(ctx, 1), lambda ctx: ctx.order - 1),
-    "A2": KindSpec(lambda ctx, a: (0,) * (ctx.m - 1) + (1,),
-                   lambda ctx, a: build_axis(ctx, 2), lambda ctx: ctx.order - 1),
-    "ZERO": KindSpec(lambda ctx, a: zero_word(ctx),
-                     lambda ctx, a: frozenset([zero_word(ctx)]), lambda ctx: 1),
-}
-
-
-def kind_component(ctx: FieldCtx, kind: str, a: Optional[int] = None) -> Component:
-    """The whole orbit of a registry kind, tagged with its generator."""
-    spec = KINDS[kind]
-    return Component(kind, a, spec.build(ctx, a), spec.generator(ctx, a))
+    return kind_component(ctx, f"A{i}").words
 
 
 def checked_orbit_rep(ctx: FieldCtx, kind: str, a: Optional[int],
                       words: FrozenSet[Word]) -> Optional[Word]:
-    """The generator of `kind` if `words` is exactly its Singer-pair orbit,
-    else None.  A set that contains the generator, is closed under
-    w -> g*w and w -> (w_k g^(q^k))_k, and has the orbit's size is that
-    orbit, since the two maps generate the action."""
-    spec = KINDS.get(kind)
-    if spec is None:
+    """The generator of `kind` if `words` is exactly the orbit that kind
+    and parameter generate, else None."""
+    if kind not in KINDS:
         return None
-    rep = spec.generator(ctx, a)
-    if rep not in words or len(words) != spec.size(ctx):
-        return None
-    elems = range(ctx.order)
-    scale = [ctx.mul(ctx.g, x) for x in elems]
-    twist = [[ctx.mul(ctx.frobenius(ctx.g, k), x) for x in elems] for k in range(ctx.m)]
-    closed = all(
-        tuple(map(scale.__getitem__, w)) in words
-        and tuple(map(list.__getitem__, twist, w)) in words
-        for w in words
-    )
-    return rep if closed else None
+    comp = kind_component(ctx, kind, a)
+    return comp.orbit_rep if words == comp.words else None
 
 
 def build_family(ctx: FieldCtx, I: Sequence[int]) -> RankCode:
@@ -335,7 +315,7 @@ def _stripe(args):
     the pairs (left, mats[j]) for every step-th j in [lo + offset, hi)."""
     mode, offset, step = args
     mats, rows, tables = _PAR_STATE["mats"], _PAR_STATE["rows"], _PAR_STATE["tables"]
-    m = len(mats[0])
+    m = _PAR_STATE["m"]
     best = m
     counts = [0] * (m + 1)
     for left, lo, hi in rows:
@@ -373,7 +353,7 @@ def _all_pairs(code: RankCode, source: str, mode: str, threads: int):
                 for row in ((rep, start, own), (rep, own + 1, len(mats)))]
     workers = max(1, min(threads, os.cpu_count() or 1))
     # The rank tables are built here, before any fork, so workers inherit them.
-    _PAR_STATE.update(mats=mats, rows=rows, tables=rank_tables(ctx))
+    _PAR_STATE.update(mats=mats, rows=rows, tables=rank_tables(ctx), m=ctx.m)
     try:
         if workers == 1:
             return [_stripe((mode, 0, 1))]

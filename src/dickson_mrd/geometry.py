@@ -376,7 +376,8 @@ def hyperregulus(ctx: FieldCtx, a: int) -> HyperregulusReport:
     Every member is the class set of one F_{q^m}-line with generator
     (1, 0, ..., 0, y); the generators sweep the norm fiber
     N(y) = (-1)^m * a, which for a = 1 is the classical norm-surface
-    condition.
+    condition.  `covers_component` compares the members' union with the
+    union of the lines through (1, 0, ..., 0, y) over that whole fiber.
     """
     if a == 0:
         raise ValueError("parameter must be nonzero")
@@ -388,6 +389,9 @@ def hyperregulus(ctx: FieldCtx, a: int) -> HyperregulusReport:
     )
     disjoint, union = _disjoint_union(members)
     target = ctx.neg(a) if ctx.m % 2 else a
+    axis = (1,) + (0,) * (ctx.m - 2)
+    fiber_lines = frozenset().union(
+        *(spread_element_points(ctx, axis + (y,)) for y in ctx.norm_fiber(target)))
     norm_ok = all(
         rep[0] == 1
         and not any(rep[1:-1])
@@ -400,7 +404,7 @@ def hyperregulus(ctx: FieldCtx, a: int) -> HyperregulusReport:
         expected_members=ctx.subfield_index,
         members_are_line_classes=line_ok,
         pairwise_disjoint=disjoint,
-        covers_component=(union == fq_classes(ctx, component)),
+        covers_component=(union == fiber_lines),
         norm_condition_ok=norm_ok,
     )
 
@@ -512,7 +516,7 @@ def verify_spread_decomposition(ctx: FieldCtx, I: Sequence[int]) -> SpreadDecomp
 
     # the two axis components are single spread elements
     axis_ok = True
-    for w in (KINDS["A1"].generator(ctx, None), KINDS["A2"].generator(ctx, None)):
+    for w in (KINDS["A1"](ctx, None), KINDS["A2"](ctx, None)):
         pts = spread_element_points(ctx, w)
         axis_ok &= spread[proj_normalize(ctx, w)] == pts
         used_elements.append(pts)

@@ -274,7 +274,6 @@ class FieldCtx:
         self._build_subfield_tables()
         self._coords_map = None
         self._conj_logs = None
-        self._pivot_tables = None
         self._automaton = None
 
     # -- table construction -------------------------------------------------
@@ -460,22 +459,6 @@ class FieldCtx:
             n = self.mult_order
             self._conj_logs = [[j * qi % n for qi in self._qpow] for j in range(self.m)]
         return self._conj_logs
-
-    def pivot_tables(self) -> Tuple[List[int], List[int]]:
-        """(pos, coef), indexed by discrete log k: pos[k] is the highest j at
-        which g^k has a nonzero F_q-coordinate in the basis 1, g, ..., g^(m-1),
-        and coef[k] is the discrete log of that coordinate."""
-        if self._pivot_tables is None:
-            if self._coords_map is None:
-                self._build_coords()
-            n = self.mult_order
-            pos, coef = [0] * n, [0] * n
-            for x, cs in self._coords_map.items():
-                if x:
-                    k, j = self.log[x], max(i for i, c in enumerate(cs) if c)
-                    pos[k], coef[k] = j, self.log[self.fq_elems[cs[j]]]
-            self._pivot_tables = (pos, coef)
-        return self._pivot_tables
 
     def subspace_automaton(self) -> Optional[Tuple[List[List[int]], List[List[int]], List[int]]]:
         """(step, sub, dim) on the lattice of F_q-subspaces of F_{q^m}, or

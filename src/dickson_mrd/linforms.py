@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Set, Tuple
 
 from .gfield import FieldCtx
-from .linalg import fq_nullspace, mat_mul
+from .linalg import fq_nullspace, fq_rank, mat_mul
 
 Word = Tuple[int, ...]
 # Images of the basis 1, g, ..., g^(m-1) under a word's linear map.
@@ -83,13 +83,10 @@ def linmap_fq_matrix(ctx: FieldCtx, w: Word) -> Columns:
 
 
 def rank_tables(ctx: FieldCtx) -> tuple:
-    """The field tables `column_rank` reads: (step, sub, dim, None) from
-    `FieldCtx.subspace_automaton`, or (None, None, None, echelon_tables(ctx))
-    for a lattice over its size bound.  Depends on (q, m) alone."""
-    automaton = ctx.subspace_automaton()
-    if automaton is None:
-        return None, None, None, echelon_tables(ctx)
-    return automaton + (None,)
+    """The field tables `column_rank` reads: (step, sub, dim) from
+    `FieldCtx.subspace_automaton`, or (None, None, None) for a lattice over
+    its size bound, then ctx.  Depends on (q, m) alone."""
+    return (ctx.subspace_automaton() or (None, None, None)) + (ctx,)
 
 
 def column_rank(left: Columns, right: Columns, tables: tuple) -> int:
@@ -97,60 +94,16 @@ def column_rank(left: Columns, right: Columns, tables: tuple) -> int:
     `linmap_fq_matrix` results and `rank_tables(ctx)`.
 
     Walks the subspace automaton from {0}, one step per column difference,
-    and reads the dimension of the span reached; `echelon_rank` where the
-    field has no automaton.
+    and reads the dimension of the span reached; where the field has no
+    automaton, eliminates the F_q-coordinates of the differences (`fq_rank`).
     """
-    step, sub, dim, echelon = tables
+    step, sub, dim, ctx = tables
     if step is None:
-        return echelon_rank(left, right, echelon)
+        return fq_rank(ctx, [ctx.coords(ctx.sub(a, b)) for a, b in zip(left, right)])
     s = 0
     for a, b in zip(left, right):
         s = step[s][sub[a][b]]
     return dim[s]
-
-
-def echelon_tables(ctx: FieldCtx) -> tuple:
-    """The field tables `echelon_rank` reads, in its argument order."""
-    return (ctx.log, ctx.zech, ctx.mult_order, ctx.log[ctx.neg(1)]) + ctx.pivot_tables()
-
-
-def echelon_rank(left: Columns, right: Columns, tables: tuple) -> int:
-    """`column_rank` by elimination, for `echelon_tables(ctx)`.
-
-    Runs on discrete logs with Zech additions.  Each nonzero difference is
-    reduced against a basis indexed by pivot, the highest nonzero
-    F_q-coordinate; a basis vector is scaled so its pivot coordinate is 1,
-    so one subtraction clears the pivot and each reduction step lowers it.
-    """
-    log, zech, n, neg1, pos, coef = tables
-    basis = [-1] * len(left)  # log of the basis vector with pivot j, -1 for none
-    rank = 0
-    for a, b in zip(left, right):
-        if b:
-            v = log[b] + neg1
-            if a:
-                la = log[a]
-                z = zech[(v - la) % n]
-                if z < 0:
-                    continue
-                v = la + z
-            v %= n
-        elif a:
-            v = log[a]
-        else:
-            continue
-        while True:
-            j = pos[v]
-            u = basis[j]
-            if u < 0:
-                basis[j] = (v - coef[v]) % n
-                rank += 1
-                break
-            z = zech[(coef[v] + u + neg1 - v) % n]
-            if z < 0:
-                break
-            v = (v + z) % n
-    return rank
 
 
 def kernel(ctx: FieldCtx, w: Word) -> List[int]:

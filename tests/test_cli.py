@@ -290,6 +290,26 @@ def test_file_wrong_type_exits_two(tmp_path, capsys, f27, key, value):
     assert repr(key) in lines[0]
 
 
+def test_distdist_of_file_without_components(tmp_path, capsys, f27):
+    doc = codefile.code_to_dict(cd.build_family(f27, [2]))
+    doc["components"] = []
+    empty = tmp_path / "empty.json"
+    codefile.write_json(empty, doc)
+    code, text, err = run(capsys, "distdist", str(empty))
+    assert (code, text, err) == (0, "rank,count\n", "")
+
+
+def test_file_with_overlapping_components_exits_two(tmp_path, capsys, f27):
+    doc = codefile.code_to_dict(cd.build_family(f27, [2]))
+    doc["components"][0]["words"].append(doc["components"][1]["words"][0])
+    bad = tmp_path / "overlap.json"
+    codefile.write_json(bad, doc)
+    code, _, err = run(capsys, "verify", str(bad))
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0] == "error: file components overlap"
+
+
 def test_verify_tampered_orbit_falls_back_to_bruteforce(tmp_path, capsys, f27):
     # (2, 0, 2) lies at rank distance 1 from another PI word; the swap keeps
     # the PI component's size and generator but breaks its orbit closure

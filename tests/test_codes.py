@@ -172,7 +172,7 @@ def test_orbit_check_accepts_exactly_the_orbits(fixture, request):
     ctx = request.getfixturevalue(fixture)
     fam = cd.build_family(ctx, [ctx.fq_elems[2]])
     for c in fam.components:
-        assert len(c.words) == cd.KINDS[c.kind].size(ctx)
+        assert len(c.words) == cd.kind_size(ctx, c.kind, c.a)
         assert cd.checked_orbit_rep(ctx, c.kind, c.a, c.words) == c.orbit_rep
     pi, j = fam.components[:2]
     moved = next(w for w in sorted(pi.words) if w != pi.orbit_rep)
@@ -180,6 +180,9 @@ def test_orbit_check_accepts_exactly_the_orbits(fixture, request):
     for kind, words in (("PI", swapped), ("PI", pi.words - {moved}),
                         ("PI", pi.words - {pi.orbit_rep}), ("OTHER", pi.words)):
         assert cd.checked_orbit_rep(ctx, kind, pi.a, frozenset(words)) is None
+    for b in ctx.fq_elems[1:]:
+        if b != pi.a:
+            assert cd.checked_orbit_rep(ctx, "PI", b, pi.words) is None
 
 
 # ----------------------------------------------------------------------

@@ -275,6 +275,23 @@ def test_hyperregulus_members_are_spread_elements(f27):
             assert member in spread_sets
 
 
+@pytest.mark.parametrize("fixture", ["f8", "f27", "f81"])
+def test_hyperregulus_cover_check_sees_a_missing_point(fixture, request, monkeypatch):
+    # drop one J(a) word with its F_q-multiples (one word when q = 2): one point
+    ctx = request.getfixturevalue(fixture)
+    a = ctx.fq_elems[-1]
+    assert ge.hyperregulus(ctx, a).covers_component
+    full_J = cd.build_J
+
+    def build_J_minus_point(ctx, b):
+        words = full_J(ctx, b)
+        w = min(words)
+        return words - {lf.word_scale(ctx, c, w) for c in ctx.fq_elems[1:]}
+
+    monkeypatch.setattr(ge, "build_J", build_J_minus_point)
+    assert not ge.hyperregulus(ctx, a).covers_component
+
+
 def test_hyperregulus_norm_surface_at_one(f27):
     # generators (1, 0, ..., 0, y) sweep N(y) = (-1)^m; here (-1)^3 = 2
     rep = ge.hyperregulus(f27, 1)

@@ -5,14 +5,7 @@ from collections import Counter
 import pytest
 
 from dickson_mrd import linforms as lf
-from dickson_mrd.codes import (
-    build_gabidulin,
-    build_J,
-    build_pi,
-    j_generator,
-    min_distance,
-    pi_generator,
-)
+from dickson_mrd.codes import KINDS, build_gabidulin, kind_component, min_distance
 from dickson_mrd.gfield import make_field
 from dickson_mrd.linalg import fq_rank, mat_mul, mat_transpose
 from reference import decode, encode, ref_add, ref_mul, ref_neg, ref_pow
@@ -148,7 +141,7 @@ def reference_rank(ctx, w1, w2):
 def test_column_rank_matches_independent_routes(p, h, m):
     ctx = make_field(p, h, m)
     tables = lf.rank_tables(ctx)
-    echelon = lf.echelon_tables(ctx)
+    fallback = (None, None, None, ctx)  # the kernel of a field over the automaton bound
     zero, trace = lf.zero_word(ctx), (1,) * m  # x + x^q + ... has rank 1
     words = all_words_sample(ctx, 60, seed=p * 100 + h * 10 + m)
     pairs = list(zip(words[::2], words[1::2]))
@@ -158,7 +151,7 @@ def test_column_rank_matches_independent_routes(p, h, m):
     for w1, w2 in pairs:
         left, right = lf.linmap_fq_matrix(ctx, w1), lf.linmap_fq_matrix(ctx, w2)
         got = lf.column_rank(left, right, tables)
-        assert got == lf.echelon_rank(left, right, echelon)
+        assert got == lf.column_rank(left, right, fallback)
         assert got == fq_rank(ctx, [ctx.coords(ctx.sub(a, b)) for a, b in zip(left, right)])
         assert got == lf.dickson_rank(ctx, lf.word_sub(ctx, w1, w2))
         assert got == reference_rank(ctx, w1, w2)
@@ -169,10 +162,10 @@ def test_column_rank_matches_independent_routes(p, h, m):
 def test_echelon_kernel_beyond_automaton_bound(monkeypatch):
     # (2, 8) has 417199 subspaces: 107M automaton entries, over the bound
     ctx = make_field(2, 1, 8)
-    assert lf.rank_tables(ctx) == (None, None, None, lf.echelon_tables(ctx))
+    assert lf.rank_tables(ctx) == (None, None, None, ctx)
     calls = []
-    original = lf.echelon_rank
-    monkeypatch.setattr(lf, "echelon_rank", lambda *a: calls.append(1) or original(*a))
+    original = lf.fq_rank
+    monkeypatch.setattr(lf, "fq_rank", lambda *a: calls.append(1) or original(*a))
     code = build_gabidulin(ctx, 7)
     assert code.size == 256
     assert min_distance(code, "bruteforce") == 8
@@ -190,13 +183,13 @@ def matrices_of_rank(q, m, r):
 
 def test_automaton_kernel_agrees_with_echelon_on_every_map(f27):
     # every column triple is the difference of some pair against a fixed right
-    tables, echelon = lf.rank_tables(f27), lf.echelon_tables(f27)
+    tables, fallback = lf.rank_tables(f27), (None, None, None, f27)
     assert tables[0] is not None
     right = lf.linmap_fq_matrix(f27, all_words_sample(f27, 1, seed=5)[0])
     ranks = Counter()
     for left in itertools.product(range(f27.order), repeat=3):
         got = lf.column_rank(left, right, tables)
-        assert got == lf.echelon_rank(left, right, echelon)
+        assert got == lf.column_rank(left, right, fallback)
         ranks[got] += 1
     assert ranks == {r: matrices_of_rank(3, 3, r) for r in range(4)}
 
@@ -367,14 +360,13 @@ def test_apply_aut_preserves_rank_distance(f27):
 # Singer orbits
 # ----------------------------------------------------------------------
 
-def test_singer_orbit_of_pi_generator(f27):
-    for a in (1, 2):
-        assert lf.singer_orbit(f27, pi_generator(f27, a)) == set(build_pi(f27, a))
-
-
-def test_singer_orbit_of_j_generator(f27):
-    for b in (1, 2):
-        assert lf.singer_orbit(f27, j_generator(f27, b)) == set(build_J(f27, b))
+@pytest.mark.parametrize("kind", list(KINDS))
+@pytest.mark.parametrize("fixture", ["f27", "f64", "f81"])
+def test_singer_orbit_of_kind_generator(fixture, kind, request):
+    ctx = request.getfixturevalue(fixture)
+    for a in ctx.fq_elems[1:] if kind in ("PI", "J") else [None]:
+        orbit = lf.singer_orbit(ctx, KINDS[kind](ctx, a))
+        assert orbit == set(kind_component(ctx, kind, a).words)
 
 
 def test_singer_orbit_of_zero_is_fixed(f27):
