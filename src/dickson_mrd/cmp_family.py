@@ -12,8 +12,9 @@ The coordinate permutation theta: (c1, c2, c3) -> (c2, c3, c1) with every
 entry raised to the q^2 power carries gamma(a) onto pi(1/a), Z(b) onto
 J(1/b), A1 onto A2 and A2' onto A1, so the theta-image of the CMP family
 with parameter set I is exactly the Dickson-model family with parameter set
-I^-1.  `verify_family_match` checks that as plain set equality and re-runs
-the maximality verification on the image.
+I^-1.  `verify_family_match` checks that as plain set equality and runs the
+maximality verification on the registry-built Dickson-model family, whose
+components carry checked orbit representatives.
 
 `verify_curve_splash` recomputes by brute force the exterior splash of a
 gamma component on the line X3 = 0: it equals the norm fiber of -a^2, not
@@ -27,11 +28,11 @@ from typing import Dict, FrozenSet, Sequence, Tuple
 
 from .gfield import FieldCtx
 from .codes import (
-    KINDS,
     Component,
     MrdReport,
     RankCode,
     Report,
+    _base_rows,
     _check_fq_param,
     _scaled_orbit,
     build_axis,
@@ -75,17 +76,13 @@ def build_Z(ctx: FieldCtx, b: int) -> FrozenSet[Word]:
     _require_plane(ctx)
     _check_fq_param(ctx, b)
     beta = ctx.norm_fiber(b)[0]
-    rows = [
-        (1, ctx.neg(ctx.mul(beta, ctx.pow(ctx.exp[xi], ctx.q - 1))), 0)
-        for xi in range(ctx.subfield_index)
-    ]
-    return _scaled_orbit(ctx, rows)
+    return _scaled_orbit(ctx, _base_rows(ctx, (1, ctx.neg(beta), 0)))
 
 
 def build_axis_mid(ctx: FieldCtx) -> FrozenSet[Word]:
     """A2': the tuples (0, x, 0)."""
     _require_plane(ctx)
-    return frozenset((0, x, 0) for x in ctx.nonzero())
+    return _scaled_orbit(ctx, [(0, 1, 0)])
 
 
 def build_cmp_family(ctx: FieldCtx, I: Sequence[int]) -> RankCode:
@@ -123,16 +120,13 @@ _THETA_KIND = {"GAMMA": "PI", "Z": "J", "A1": "A2", "A2P": "A1", "ZERO": "ZERO"}
 
 def theta_image_code(ctx: FieldCtx, fam: RankCode) -> RankCode:
     """Apply theta tuplewise and retag: gamma(a) -> pi(1/a), Z(b) -> J(1/b),
-    A1 <-> A2'.  The result carries orbit representatives, so the orbit
-    distance mode applies."""
+    A1 <-> A2'.  The components carry no orbit representatives: whether
+    they are orbits is what the comparison with the family decides."""
     comps = []
     for c in fam.components:
-        kind = _THETA_KIND[c.kind]
         a = ctx.inv(c.a) if c.a is not None else None
-        mapped = frozenset(theta(ctx, w) for w in c.words)
-        comps.append(Component(kind, a, mapped, KINDS[kind](ctx, a)))
-    order = {kind: i for i, kind in enumerate(KINDS)}
-    comps.sort(key=lambda c: (order[c.kind], ctx.fq_index(c.a) if c.a is not None else 0))
+        comps.append(Component(_THETA_KIND[c.kind], a,
+                               frozenset(theta(ctx, w) for w in c.words)))
     return RankCode.assemble(ctx, 2, comps)
 
 
@@ -152,7 +146,7 @@ class FamilyMatchReport(Report):
 def verify_family_match(ctx: FieldCtx, I: Sequence[int], threads: int = 1) -> FamilyMatchReport:
     """theta maps the curve family with parameter set I onto the
     Dickson-model family with parameter set I^-1, component by component;
-    the image is independently re-verified as a maximal distance-2 code."""
+    that family is verified as a maximal distance-2 code in orbit mode."""
     fam = build_cmp_family(ctx, I)
     image = theta_image_code(ctx, fam)
     fam_I = [c.a for c in fam.components if c.kind == "GAMMA"]
@@ -164,7 +158,7 @@ def verify_family_match(ctx: FieldCtx, I: Sequence[int], threads: int = 1) -> Fa
         tag: by_tag_img.get(tag) == by_tag_tgt.get(tag)
         for tag in sorted(set(by_tag_img) | set(by_tag_tgt))
     }
-    report = verify_mrd(image, mode="orbit", threads=threads)
+    report = verify_mrd(target, mode="orbit", threads=threads)
     return FamilyMatchReport(
         I=tuple(fq_label(ctx, a) for a in fam_I),
         inverse_I=tuple(fq_label(ctx, a) for a in inv_I),

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Union
 
 from .gfield import FieldCtx, make_field
-from .codes import Component, RankCode, checked_orbit_rep, component_union
+from .codes import Component, RankCode, checked_orbit_rep, disjoint_union
 from .linforms import Word
 
 CODE_FORMAT = "rank-code/v1"
@@ -139,10 +139,9 @@ def code_from_dict(d: dict) -> RankCode:
         a = None if cd.get("a") is None else element_from_list(ctx, _require(cd, "a", list))
         words = frozenset(word_from_lists(ctx, w) for w in _require(cd, "words", list))
         comps.append(Component(kind, a, words, checked_orbit_rep(ctx, kind, a, words)))
-    words = component_union(comps)
-    if words is None:
+    if not disjoint_union(c.words for c in comps)[0]:
         raise ValueError("file components overlap")
-    return RankCode(ctx, claimed, tuple(comps), words)
+    return RankCode(ctx, claimed, tuple(comps))
 
 
 def save_code(path: Union[str, Path], code: RankCode) -> None:

@@ -20,6 +20,10 @@ to a leading 1, closed under scalars), and a loaded component is trusted as
 an orbit exactly when it equals the orbit its kind and parameter generate
 (`checked_orbit_rep`).
 
+A `RankCode` is its components: the scans, the loader and the reports read
+them, and the union `words` is built only on first use.  `disjoint_union`
+is the one overlap check of components and of point sets.
+
 The Gabidulin evaluation code (words supported on the first m-s coordinates)
 serves as the linear baseline.
 """
@@ -32,7 +36,8 @@ import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import multiprocessing
 
@@ -77,12 +82,11 @@ def fq_label(ctx: FieldCtx, a: int) -> str:
 
 @dataclass(frozen=True)
 class RankCode:
-    """An immutable set of words with parameters and per-component tags."""
+    """An immutable code: its parameters and its disjoint tagged components."""
 
     ctx: FieldCtx
     claimed_distance: int
     components: Tuple[Component, ...]
-    words: FrozenSet[Word]
 
     @property
     def m(self) -> int:
@@ -94,7 +98,12 @@ class RankCode:
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return sum(len(c.words) for c in self.components)
+
+    @cached_property
+    def words(self) -> FrozenSet[Word]:
+        """The union of the components, built on first use."""
+        return frozenset().union(*(c.words for c in self.components))
 
     def has_orbit_structure(self) -> bool:
         return all(c.orbit_rep is not None for c in self.components)
@@ -105,14 +114,12 @@ class RankCode:
         for comp in components:
             if comp.orbit_rep is not None and comp.orbit_rep not in comp.words:
                 raise ValueError(f"orbit representative missing from {comp.kind}")
-        words = component_union(components)
-        if words is None:
+        if not disjoint_union(c.words for c in components)[0]:
             raise ValueError("components overlap")
-        has_zero = zero_word(ctx) in words
-        tagged_zero = any(c.kind == "ZERO" for c in components)
-        if has_zero != tagged_zero:
+        zw = zero_word(ctx)
+        if any((zw in c.words) != (c.kind == "ZERO") for c in components):
             raise ValueError("zero word must appear exactly in a ZERO component")
-        code = RankCode(ctx, claimed_distance, tuple(components), words)
+        code = RankCode(ctx, claimed_distance, tuple(components))
         if code.size > singleton_bound(ctx.q, ctx.m, claimed_distance):
             raise ValueError("size exceeds the Singleton-like bound")
         return code
@@ -125,20 +132,21 @@ class RankCode:
         comps = []
         rest = words - {zw}
         if rest:
-            comps.append(Component("OTHER", None, frozenset(rest)))
+            comps.append(Component("OTHER", None, rest))
         if zw in words:
-            comps.append(Component("ZERO", None, frozenset([zw]), orbit_rep=None))
+            comps.append(Component("ZERO", None, frozenset([zw])))
         return RankCode.assemble(ctx, claimed_distance, comps)
 
 
-def component_union(components: Sequence[Component]) -> Optional[FrozenSet[Word]]:
-    """The union of the components' words, or None when two of them share a word."""
-    words: set = set()
-    for comp in components:
-        words |= comp.words
-    if len(words) != sum(len(comp.words) for comp in components):
-        return None
-    return frozenset(words)
+def disjoint_union(sets: Iterable[FrozenSet]) -> Tuple[bool, set]:
+    """(whether the sets are pairwise disjoint, their union), in one pass:
+    they are disjoint exactly when the union is as large as their sizes' sum."""
+    union: set = set()
+    total = 0
+    for s in sets:
+        union |= s
+        total += len(s)
+    return len(union) == total, union
 
 
 def singleton_bound(q: int, m: int, d: int) -> int:
@@ -215,14 +223,10 @@ def _base_rows(ctx: FieldCtx, w: Word) -> List[Word]:
 def _scaled_orbit(ctx: FieldCtx, rows: Sequence[Word]) -> FrozenSet[Word]:
     """Close a family of base rows under nonzero scalar multiples."""
     mul = ctx.mul
-    out = set()
-    for base in rows:
-        for u in ctx.exp:
-            out.add(tuple(mul(u, c) for c in base))
-    expected = len(rows) * ctx.mult_order
-    if len(out) != expected:
+    out = frozenset(tuple(mul(u, c) for c in base) for base in rows for u in ctx.exp)
+    if len(out) != len(rows) * ctx.mult_order:
         raise RuntimeError("unexpected collision while building component")
-    return frozenset(out)
+    return out
 
 
 def kind_size(ctx: FieldCtx, kind: str, a: Optional[int] = None) -> int:
@@ -311,15 +315,15 @@ _PAR_STATE: dict = {}
 
 
 def _stripe(args):
-    """Reduce the ranks of one share of the scan: for each row (left, lo, hi),
-    the pairs (left, mats[j]) for every step-th j in [lo + offset, hi)."""
+    """Reduce the ranks of one share of the scan: for each row (left, lo),
+    the pairs (left, mats[j]) for every step-th j from lo + offset on."""
     mode, offset, step = args
     mats, rows, tables = _PAR_STATE["mats"], _PAR_STATE["rows"], _PAR_STATE["tables"]
     m = _PAR_STATE["m"]
     best = m
     counts = [0] * (m + 1)
-    for left, lo, hi in rows:
-        for right in mats[lo + offset:hi:step]:
+    for left, lo in rows:
+        for right in mats[lo + offset::step]:
             r = _rank_of(left, right, tables)
             if mode == "hist":
                 counts[r] += 1
@@ -334,23 +338,22 @@ def _all_pairs(code: RankCode, source: str, mode: str, threads: int):
     """`_stripe` results over the pairs of `source`, split over up to
     `threads` forked workers (at most one per CPU).
 
-    `bruteforce` pairs every word with each later word.  `orbit` pairs each
-    component's orbit representative with every other word of its own and
-    of each later component.
+    Both sources lay the components' words out in order.  `bruteforce`
+    pairs every word with each later word.  `orbit` puts each component's
+    orbit representative first and pairs it with every later word, i.e.
+    the rest of its own component and each later component.
     """
     ctx = code.ctx
     if source == "bruteforce":
-        mats = [linmap_fq_matrix(ctx, w) for w in code.words]
-        rows = [(left, i + 1, len(mats)) for i, left in enumerate(mats)]
+        mats = [linmap_fq_matrix(ctx, w) for c in code.components for w in c.words]
+        rows = [(left, i + 1) for i, left in enumerate(mats)]
     else:
-        mats, reps = [], []
+        mats, rows = [], []
         for comp in code.components:
-            words = list(comp.words)
-            reps.append((linmap_fq_matrix(ctx, comp.orbit_rep),
-                         len(mats), len(mats) + words.index(comp.orbit_rep)))
-            mats.extend(linmap_fq_matrix(ctx, w) for w in words)
-        rows = [row for rep, start, own in reps
-                for row in ((rep, start, own), (rep, own + 1, len(mats)))]
+            rep = comp.orbit_rep
+            rows.append((linmap_fq_matrix(ctx, rep), len(mats) + 1))
+            mats.append(linmap_fq_matrix(ctx, rep))
+            mats.extend(linmap_fq_matrix(ctx, w) for w in comp.words if w != rep)
     workers = max(1, min(threads, os.cpu_count() or 1))
     # The rank tables are built here, before any fork, so workers inherit them.
     _PAR_STATE.update(mats=mats, rows=rows, tables=rank_tables(ctx), m=ctx.m)
@@ -435,34 +438,33 @@ def verify_mrd(code: RankCode, mode: str = "auto", threads: int = 1) -> MrdRepor
 
 
 def linearity_witness(code: RankCode) -> Optional[Tuple[Word, Word, int]]:
-    """A triple (w1, w2, c) with w1 + c*w2 outside the code, or None when
-    the code is closed under the F_q-span of every pair (i.e. linear).
+    """A triple (w1, w2, c) of two codewords and a nonzero c in F_q with
+    w1 + c*w2 outside the code, or None when there is none (the code is
+    linear, or empty).
 
-    The search first tries pairs of an A2 word with a pi-component word,
-    the shape that witnesses non-linearity for the family codes, then falls
-    back to the full closure scan.
+    Without the zero word, (w, w, -1) is a witness.  Otherwise the search
+    grows the span S of the words seen so far, starting from {0}: each word
+    w outside S adds every x + c*w (x in S, c nonzero).  S stays inside the
+    code, so it ends equal to the code exactly when the code is linear; the
+    first sum outside the code is the witness.  O(N q) word operations.
     """
     ctx = code.ctx
     words = code.words
-    scalars = ctx.fq_elems[1:]
-
-    def scan(pairs) -> Optional[Tuple[Word, Word, int]]:
-        for w1, w2 in pairs:
-            for c in scalars:
-                if word_add(ctx, w1, word_scale(ctx, c, w2)) not in words:
-                    return (w1, w2, c)
+    if not words:
         return None
-
-    a2 = next((c for c in code.components if c.kind == "A2"), None)
-    pis = [c for c in code.components if c.kind == "PI"]
-    if a2 is not None:
-        for comp in pis:
-            hit = scan(
-                (w1, w2)
-                for w1 in sorted(a2.words)
-                for w2 in sorted(comp.words)
-            )
-            if hit is not None:
-                return hit
-    ordered = sorted(words)
-    return scan((w1, w2) for w1 in ordered for w2 in ordered)
+    if zero_word(ctx) not in words:
+        w = min(words)
+        return (w, w, ctx.neg(1))
+    scalars = ctx.fq_elems[1:]
+    span = {zero_word(ctx)}
+    for w in sorted(words):
+        if w in span:
+            continue
+        multiples = [word_scale(ctx, c, w) for c in scalars]
+        for x in list(span):
+            for c, cw in zip(scalars, multiples):
+                y = word_add(ctx, x, cw)
+                if y not in words:
+                    return (x, w, c)
+                span.add(y)
+    return None

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from .codes import KINDS, Report, build_J, build_pi, fq_label, kind_component, split_params
+from .codes import (KINDS, Report, build_J, build_pi, disjoint_union, fq_label,
+                    kind_component, split_params)
 from .gfield import FieldCtx
 from .linalg import fq_rank, mat_inv, mat_mul, mat_rank, mat_transpose, mat_vec
 from .linforms import Word, dickson, word_scale
@@ -177,10 +178,9 @@ class ReductionReport(Report):
         return self.congruence_failures == 0 and self.rank_failures == 0
 
 
-def reduction_sample(ctx: FieldCtx, count: int,
-                     seed: int = REDUCTION_SAMPLE_SEED) -> List[Tuple[int, ...]]:
+def reduction_sample(ctx: FieldCtx, count: int) -> List[Tuple[int, ...]]:
     """Deterministic sample of nonzero Singer-coordinate tuples."""
-    rng = random.Random(seed)
+    rng = random.Random(REDUCTION_SAMPLE_SEED)
     els = [0] + list(ctx.exp)
     out = []
     while len(out) < count:
@@ -261,18 +261,12 @@ def spread_partition(ctx: FieldCtx) -> List[SpreadElement]:
     n_points = spread_point_count(ctx)
     if n_points > SPREAD_POINT_LIMIT:
         raise ValueError(f"spread with {n_points} points exceeds the desk bound")
-    per = ctx.subfield_index
-    elements = []
-    seen: Set[Word] = set()
-    total = 0
-    for rep in proj_points_iter(ctx):
-        pts = spread_element_points(ctx, rep)
-        if len(pts) != per:
-            raise RuntimeError("spread element has wrong size")
-        total += len(pts)
-        seen |= pts
-        elements.append(SpreadElement(rep, pts))
-    if total != len(seen) or total != n_points:
+    elements = [SpreadElement(rep, spread_element_points(ctx, rep))
+                for rep in proj_points_iter(ctx)]
+    if any(len(el.points) != ctx.subfield_index for el in elements):
+        raise RuntimeError("spread element has wrong size")
+    disjoint, union = disjoint_union(el.points for el in elements)
+    if not disjoint or len(union) != n_points:
         raise RuntimeError("spread is not a partition")
     return elements
 
@@ -314,15 +308,9 @@ def segre_points(ctx: FieldCtx) -> FrozenSet[TensorMat]:
 
 def segre_word_classes(ctx: FieldCtx) -> FrozenSet[Word]:
     """The same Segre variety on the Dickson side: F_q-classes of the words
-    (c x, c x^q, ..., c x^(q^(m-1))) over nonzero c, x."""
-    frob, mul = ctx.frobenius, ctx.mul
-    out = set()
-    for x in ctx.exp:
-        base = tuple(frob(x, k) for k in range(ctx.m))
-        out.add(fq_canonical(ctx, base))
-        for lam in ctx.exp:
-            out.add(fq_canonical(ctx, tuple(mul(lam, b) for b in base)))
-    return frozenset(out)
+    (c x, c x^q, ..., c x^(q^(m-1))) over nonzero c, x, which form the
+    Singer-pair orbit pi(1) of the generator (1, ..., 1)."""
+    return fq_classes(ctx, build_pi(ctx, 1))
 
 
 # ----------------------------------------------------------------------
@@ -359,16 +347,6 @@ def line_classes(ctx: FieldCtx, words: Iterable[Word]) -> Dict[ProjPoint, Frozen
     return {rep: frozenset(g) for rep, g in sorted(groups.items())}
 
 
-def _disjoint_union(point_sets: Iterable[FrozenSet]) -> Tuple[bool, Set]:
-    """(whether the sets are pairwise disjoint, their union)."""
-    union: Set = set()
-    disjoint = True
-    for pts in point_sets:
-        disjoint = disjoint and union.isdisjoint(pts)
-        union |= pts
-    return disjoint, union
-
-
 def hyperregulus(ctx: FieldCtx, a: int) -> HyperregulusReport:
     """The family of spread elements covering the image of the J(a)
     component in PG(m^2-1, q).
@@ -387,7 +365,7 @@ def hyperregulus(ctx: FieldCtx, a: int) -> HyperregulusReport:
     line_ok = all(
         member == spread_element_points(ctx, rep) for rep, member in groups.items()
     )
-    disjoint, union = _disjoint_union(members)
+    disjoint, union = disjoint_union(members)
     target = ctx.neg(a) if ctx.m % 2 else a
     axis = (1,) + (0,) * (ctx.m - 2)
     fiber_lines = frozenset().union(
@@ -422,7 +400,7 @@ def pairwise_intersections(point_sets: Sequence[FrozenSet]) -> List[List[int]]:
 
 
 def all_disjoint(point_sets: Sequence[FrozenSet]) -> bool:
-    return _disjoint_union(point_sets)[0]
+    return disjoint_union(point_sets)[0]
 
 
 @dataclass(frozen=True)
@@ -549,7 +527,7 @@ def verify_spread_decomposition(ctx: FieldCtx, I: Sequence[int]) -> SpreadDecomp
         hyperreguli_ok={tag: rep_report.ok for tag, rep_report in hyper.items()},
         spread_elements_used=len(used_elements),
         expected_spread_elements=expected,
-        elements_disjoint=_disjoint_union(used_elements)[0],
+        elements_disjoint=all_disjoint(used_elements),
         ja_in_span=ja_in_span,
         image_in_spread=image_in_spread,
     )

@@ -19,7 +19,7 @@ Words are plain tuples of element ints; all functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from .gfield import FieldCtx
 from .linalg import fq_nullspace, fq_rank, mat_mul
@@ -214,11 +214,6 @@ def apply_aut(ctx: FieldCtx, e: AutElt, w: Word) -> Word:
     return compose(ctx, compose(ctx, dickson_transpose(ctx, e.d1), w), e.d2)
 
 
-def identity_aut(ctx: FieldCtx) -> AutElt:
-    ident = (1,) + (0,) * (ctx.m - 1)
-    return AutElt(d1=ident, d2=ident)
-
-
 def singer_orbit(ctx: FieldCtx, w: Word) -> Set[Word]:
     """Orbit of w under the pair of diagonal Singer cycles:
     w -> (c * a_0 * x, c * a_1 * x^q, ..., c * a_{m-1} * x^(q^(m-1)))
@@ -234,11 +229,3 @@ def singer_orbit(ctx: FieldCtx, w: Word) -> Set[Word]:
             out.add(tuple(mul(c, a) for a in base))
     return out
 
-
-def words_iter(ctx: FieldCtx) -> Iterable[Word]:
-    """All (q^m)^m words in deterministic order (int-encoded, little end first)."""
-    import itertools
-
-    els = [0] + list(ctx.exp)
-    for tup in itertools.product(els, repeat=ctx.m):
-        yield tup

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dickson_mrd import codefile
 from dickson_mrd import codes as cd
 from dickson_mrd import linforms as lf
 
@@ -416,6 +417,38 @@ def test_code_words_rank_routes_agree(f27):
     fam = cd.build_family(f27, [2])
     for w in fam.words:
         assert lf.rank(f27, w) == lf.dickson_rank(f27, w)
+
+
+def test_scans_save_and_load_never_build_the_word_union(f27):
+    fam = cd.build_family(f27, [2])
+    for mode in ("orbit", "bruteforce"):
+        assert cd.verify_mrd(fam, mode=mode).mrd
+    cd.distance_distribution(fam)
+    loaded = codefile.code_from_dict(codefile.code_to_dict(fam))
+    assert loaded.size == fam.size == 729 and cd.verify_mrd(loaded).mrd
+    assert "words" not in vars(fam) and "words" not in vars(loaded)
+    assert len(fam.words) == 729 and "words" in vars(fam)
+
+
+def test_assemble_rejects_overlapping_components(f27):
+    a1 = cd.kind_component(f27, "A1")
+    extra = cd.Component("OTHER", None, frozenset([(1, 0, 0), (0, 1, 0)]))
+    with pytest.raises(ValueError, match="components overlap"):
+        cd.RankCode.assemble(f27, 1, [a1, extra, cd.kind_component(f27, "ZERO")])
+
+
+def test_assemble_places_the_zero_word_in_a_zero_component(f27):
+    a1 = cd.kind_component(f27, "A1")
+    zero = (0, 0, 0)
+    for misplaced in (
+        [a1, cd.Component("OTHER", None, frozenset([zero]))],
+        [a1, cd.Component("ZERO", None, frozenset([(0, 1, 0)]))],
+        [cd.Component("OTHER", None, frozenset([zero, (0, 1, 0)])),
+         cd.Component("ZERO", None, frozenset([(0, 0, 1)]))],
+    ):
+        with pytest.raises(ValueError, match="zero word must appear exactly in a ZERO component"):
+            cd.RankCode.assemble(f27, 1, misplaced)
+    assert cd.RankCode.assemble(f27, 1, [a1, cd.kind_component(f27, "ZERO")]).size == 27
 
 
 def test_rankcode_respects_singleton_bound(f27):
