@@ -60,14 +60,14 @@ def _require_plane(ctx: FieldCtx) -> None:
 
 def build_gamma(ctx: FieldCtx, a: int) -> FrozenSet[Word]:
     """Tuples (c, c x^(q+1), c x^q) over nonzero c and x in the norm fiber
-    of a; size (q^3 - 1)^2 / (q - 1)."""
+    of a; size (q^3 - 1)^2 / (q - 1).  This is the Singer-pair orbit of the
+    tuple of alpha, the first norm-fiber element over a: its twist by y is
+    the tuple of x = alpha * y^(-q(q-1)), which runs over the whole fiber."""
     _require_plane(ctx)
     _check_fq_param(ctx, a)
-    rows = []
-    for x in ctx.norm_fiber(a):
-        xq = ctx.pow(x, ctx.q)
-        rows.append((1, ctx.mul(xq, x), xq))
-    return _scaled_orbit(ctx, rows)
+    alpha = ctx.norm_fiber(a)[0]
+    alpha_q = ctx.pow(alpha, ctx.q)
+    return _scaled_orbit(ctx, _base_rows(ctx, (1, ctx.mul(alpha_q, alpha), alpha_q)))
 
 
 def build_Z(ctx: FieldCtx, b: int) -> FrozenSet[Word]:

@@ -46,6 +46,7 @@ from .linforms import (
     Word,
     column_rank as _rank_of,
     linmap_fq_matrix,
+    proj_normalize,
     rank_tables,
     word_add,
     word_scale,
@@ -209,15 +210,12 @@ def _base_rows(ctx: FieldCtx, w: Word) -> List[Word]:
     scaled so its first nonzero entry is 1, without repeats.  x^(q^k - 1)
     only depends on the class of x modulo F_q*, so the scalar multiples of
     these rows are the Singer-pair orbit of a nonzero w."""
+    if not any(w):
+        return []
     q, mul, powf = ctx.q, ctx.mul, ctx.pow
-    rows: Dict[Word, None] = {}
-    for x in ctx.exp[:ctx.subfield_index]:
-        twist = [mul(c, powf(x, q ** k - 1)) for k, c in enumerate(w)]
-        lead = next((c for c in twist if c), 0)
-        if lead:
-            inv = ctx.inv(lead)
-            rows[tuple(mul(inv, c) for c in twist)] = None
-    return list(rows)
+    return list(dict.fromkeys(
+        proj_normalize(ctx, [mul(c, powf(x, q ** k - 1)) for k, c in enumerate(w)])
+        for x in ctx.exp[:ctx.subfield_index]))
 
 
 def _scaled_orbit(ctx: FieldCtx, rows: Sequence[Word]) -> FrozenSet[Word]:

@@ -36,7 +36,7 @@ from .codes import (KINDS, Report, build_J, build_pi, disjoint_union, fq_label,
                     kind_component, split_params)
 from .gfield import FieldCtx
 from .linalg import fq_rank, mat_inv, mat_mul, mat_rank, mat_transpose, mat_vec
-from .linforms import Word, dickson, word_scale
+from .linforms import Word, dickson, proj_normalize, word_scale
 
 ProjPoint = Tuple[int, ...]
 TensorMat = Tuple[Tuple[int, ...], ...]
@@ -50,15 +50,6 @@ REDUCTION_SAMPLE_SEED = 0x51CA7
 # ----------------------------------------------------------------------
 # points of PG(m-1, q^m)
 # ----------------------------------------------------------------------
-
-def proj_normalize(ctx: FieldCtx, v: Sequence[int]) -> ProjPoint:
-    """Scale by an F_{q^m} unit so the first nonzero coordinate is 1."""
-    for c in v:
-        if c:
-            inv = ctx.inv(c)
-            return tuple(ctx.mul(inv, x) for x in v)
-    raise ValueError("cannot normalize the zero vector")
-
 
 def proj_image(ctx: FieldCtx, vectors: Iterable[Sequence[int]]) -> FrozenSet[ProjPoint]:
     """Normalized, deduplicated projective image of a set of vectors."""

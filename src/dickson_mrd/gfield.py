@@ -4,7 +4,10 @@ Elements of F_{q^m} (q = p^h) are plain ints: the element with polynomial
 coefficients (c_0, c_1, ..., c_{d-1}) over F_p, d = h*m, little-endian in a
 fixed primitive modulus, is encoded as sum(c_i * p**i).  The class of x (the
 polynomial variable) is the fixed generator g of the multiplicative group,
-so g == p as an int.
+so g == p as an int.  Unless one is given, the modulus is the first monic
+primitive polynomial of degree d in search order (`find_primitive_modulus`),
+so every field within MAX_FIELD_ORDER has a default, and the same one on
+every run.
 
 Multiplication runs on discrete-log tables, addition on Zech logarithms,
 so every operation is O(1) table lookups once the context is built.  The
@@ -24,44 +27,8 @@ MAX_FIELD_ORDER = 2 ** 24
 # Size bound for each table of the subspace automaton (see automaton_entries).
 MAX_AUTOMATON_ENTRIES = 2 ** 21
 
-# Built-in primitive polynomials, keyed by (p, degree).  Each entry is the
-# full little-endian coefficient list (constant term first, monic).  Every
-# entry is the first monic primitive polynomial of its degree in ascending
-# order of the encoded low-coefficient integer sum(c_i * p**i); the table is
-# frozen so that serialized artifacts are reproducible bit-for-bit.
-DEFAULT_MODULI = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (2, 5): (1, 0, 1, 0, 0, 1),
-    (2, 6): (1, 1, 0, 0, 0, 0, 1),
-    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
-    (2, 8): (1, 0, 1, 1, 1, 0, 0, 0, 1),
-    (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0, 1),
-    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
-    (2, 12): (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1),
-    (3, 2): (2, 1, 1),
-    (3, 3): (1, 2, 0, 1),
-    (3, 4): (2, 1, 0, 0, 1),
-    (3, 5): (1, 2, 0, 0, 0, 1),
-    (3, 6): (2, 1, 0, 0, 0, 0, 1),
-    (5, 2): (2, 1, 1),
-    (5, 3): (2, 3, 0, 1),
-    (5, 4): (2, 2, 1, 0, 1),
-    (7, 2): (3, 1, 1),
-    (7, 3): (2, 3, 0, 1),
-}
-
-
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 def subspace_count(q: int, m: int) -> int:
@@ -95,7 +62,7 @@ def _prime_factors(n: int) -> List[int]:
 
 # ----------------------------------------------------------------------
 # Polynomial arithmetic over F_p on little-endian coefficient lists.
-# Only used while validating a modulus and building tables.
+# Only used while choosing and validating a modulus.
 # ----------------------------------------------------------------------
 
 def _poly_trim(a: Sequence[int]) -> List[int]:
@@ -135,68 +102,27 @@ def _poly_powmod(a: Sequence[int], e: int, mod: Sequence[int], p: int) -> List[i
     return result
 
 
-def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        # a mod b, with b made monic on the fly
-        lead_inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) >= len(b) and _poly_trim(r):
-            r = _poly_trim(r)
-            if len(r) < len(b):
-                break
-            c = (r[-1] * lead_inv) % p
-            shift = len(r) - len(b)
-            for i, bi in enumerate(b):
-                r[shift + i] = (r[shift + i] - c * bi) % p
-            r = _poly_trim(r)
-        a, b = b, r
-    return a
-
-
-def _poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> List[int]:
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Rabin test: x^(p^d) == x mod f and gcd(x^(p^(d/r)) - x, f) = 1."""
-    mod = list(modulus)
-    d = len(mod) - 1
-    x = [0, 1]
-    if d < 1:
-        return False
-    top = _poly_powmod(x, p ** d, mod, p)
-    if _poly_trim(_poly_sub(top, x, p)):
-        return False
-    for r in _prime_factors(d):
-        mid = _poly_powmod(x, p ** (d // r), mod, p)
-        g = _poly_gcd(_poly_sub(mid, x, p), mod, p)
-        if len(_poly_trim(g)) > 1:
-            return False
-    return True
-
-
 def is_primitive(modulus: Sequence[int], p: int) -> bool:
-    """True when the class of x generates the multiplicative group."""
-    if not is_irreducible(modulus, p):
-        return False
-    d = len(modulus) - 1
-    n = p ** d - 1
+    """True when the class of x generates the multiplicative group.
+
+    Order test: x^n = 1 and x^(n/r) != 1 mod f for each prime r | n, where
+    n = p^d - 1.  A unit of order p^d - 1 leaves no room for a nonzero
+    non-unit among the p^d - 1 nonzero residues, so F_p[x]/(f) is a field
+    and f is irreducible; no separate irreducibility test is needed.
+    """
+    n = p ** (len(modulus) - 1) - 1
     x = [0, 1]
-    for r in _prime_factors(n):
-        if _poly_trim(_poly_powmod(x, n // r, modulus, p)) == [1]:
-            return False
-    return True
+    if n < 1 or _poly_powmod(x, n, modulus, p) != [1]:
+        return False
+    return all(_poly_powmod(x, n // r, modulus, p) != [1] for r in _prime_factors(n))
 
 
 def find_primitive_modulus(p: int, d: int) -> Tuple[int, ...]:
     """First monic primitive polynomial of degree d over F_p.
 
     Candidates are ordered by the integer sum(c_i * p**i) over the low
-    coefficients; this is the rule that generated DEFAULT_MODULI.
+    coefficients.  This is the default modulus of every field, so a field
+    built without one is the same field, element for element, on every run.
     """
     for k in range(p ** d):
         coeffs = []
@@ -219,7 +145,8 @@ class FieldCtx:
         Prime characteristic, with q = p^h and extension degree m >= 2.
     modulus : sequence of int, optional
         Little-endian coefficients of a monic primitive polynomial of
-        degree h*m over F_p.  Defaults to the built-in table entry.
+        degree h*m over F_p.  Defaults to the first one in search order,
+        ``find_primitive_modulus(p, h*m)``.
     """
 
     def __init__(self, p: int, h: int, m: int, modulus: Optional[Sequence[int]] = None):
@@ -237,20 +164,14 @@ class FieldCtx:
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if modulus is None:
-            if (p, d) not in DEFAULT_MODULI:
-                raise ValueError(
-                    f"no built-in modulus for (p={p}, degree={d}); pass one explicitly"
-                )
-            modulus = DEFAULT_MODULI[(p, d)]
+            modulus = find_primitive_modulus(p, d)
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != d + 1:
             raise ValueError(f"modulus must have degree {d} (got {len(modulus) - 1})")
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
-        if not is_irreducible(modulus, p):
-            raise ValueError("modulus is reducible")
         if not is_primitive(modulus, p):
-            raise ValueError("modulus is irreducible but not primitive")
+            raise ValueError("modulus is not primitive")
 
         self.p = p
         self.h = h
@@ -264,8 +185,6 @@ class FieldCtx:
 
         self._build_tables()
 
-        self.zero = 0
-        self.one = 1
         self.g = self.exp[1]
         # q^i mod (q^m - 1) for Frobenius exponent arithmetic
         self._qpow = [pow(self.q, i, self.mult_order) for i in range(m)]
@@ -322,7 +241,6 @@ class FieldCtx:
         self.fq_elems = tuple(elems)
         self._fq_index = index
         self.fq_add = [[index[self.add(a, b)] for b in elems] for a in elems]
-        self.fq_sub = [[index[self.sub(a, b)] for b in elems] for a in elems]
         self.fq_mul = [[index[self.mul(a, b)] for b in elems] for a in elems]
         self.fq_neg = [index[self.neg(a)] for a in elems]
         self.fq_inv = [0] + [index[self.inv(a)] for a in elems[1:]]

@@ -8,7 +8,10 @@ Two matrix flavours are used throughout the package:
   context operations.
 
 All eliminations use the fixed pivot order (top row, leftmost column) so
-results are deterministic.
+results are deterministic.  The two rank functions eliminate forward only,
+which is all a rank needs; `rref` is the one full Gauss-Jordan reduction,
+and `mat_inv` and `fq_nullspace` (on the F_q indices lifted into F_{q^m})
+both read their results off it.
 """
 
 from __future__ import annotations
@@ -59,52 +62,17 @@ def fq_rank(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> int:
 
 def fq_nullspace(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
     """Deterministic basis of the right null space, one vector per free column."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    mul = ctx.fq_mul
-    add = ctx.fq_add
-    neg = ctx.fq_neg
-    inv = ctx.fq_inv
-    pivots: List[int] = []
-    rank = 0
-    for c in range(ncols):
-        pivot = -1
-        for r in range(rank, len(mat)):
-            if mat[r][c]:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        pinv = inv[prow[c]]
-        if prow[c] != 1:
-            for j in range(c, ncols):
-                prow[j] = mul[prow[j]][pinv]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c]:
-                row = mat[r]
-                factor = neg[row[c]]
-                mrow = mul[factor]
-                for j in range(c, ncols):
-                    if prow[j]:
-                        row[j] = add[row[j]][mrow[prow[j]]]
-        pivots.append(c)
-        rank += 1
-        if rank == len(mat):
-            break
-    pivot_set = set(pivots)
+    elems, index = ctx.fq_elems, ctx.fq_index
+    ncols = len(rows[0]) if rows else 0
+    mat, pivots = rref(ctx, [[elems[x] for x in r] for r in rows])
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         vec = [0] * ncols
         vec[free] = 1
-        for r, pc in enumerate(pivots):
-            if mat[r][free]:
-                vec[pc] = neg[mat[r][free]]
+        for row, pc in zip(mat, pivots):
+            vec[pc] = index(ctx.neg(row[free]))
         basis.append(tuple(vec))
     return basis
 
@@ -178,29 +146,36 @@ def mat_rank(ctx: FieldCtx, a: Mat) -> int:
     return rank
 
 
-def mat_inv(ctx: FieldCtx, a: Mat) -> Mat:
-    n = len(a)
-    mat = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(a)]
-    sub, mul, div = ctx.sub, ctx.mul, ctx.div
-    for c in range(n):
-        pivot = -1
-        for r in range(c, n):
-            if mat[r][c]:
-                pivot = r
-                break
-        if pivot < 0:
-            raise ValueError("matrix is singular")
-        mat[c], mat[pivot] = mat[pivot], mat[c]
-        prow = mat[c]
-        pval = prow[c]
-        if pval != 1:
-            for j in range(2 * n):
-                prow[j] = div(prow[j], pval)
-        for r in range(n):
-            if r != c and mat[r][c]:
-                row = mat[r]
+def rref(ctx: FieldCtx, a: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
+    """Reduced row echelon form of an F_{q^m} matrix by Gauss-Jordan
+    elimination, with its pivot columns (one per nonzero row, in order)."""
+    mat = [list(r) for r in a]
+    ncols = len(mat[0]) if mat else 0
+    sub, mul, inv = ctx.sub, ctx.mul, ctx.inv
+    pivots: List[int] = []
+    for c in range(ncols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(mat)) if mat[r][c]), None)
+        if pivot is None:
+            continue
+        mat[top], mat[pivot] = mat[pivot], mat[top]
+        pinv = inv(mat[top][c])
+        prow = mat[top] = [mul(pinv, x) for x in mat[top]]
+        for r, row in enumerate(mat):
+            if r != top and row[c]:
                 factor = row[c]
-                for j in range(2 * n):
-                    if prow[j]:
-                        row[j] = sub(row[j], mul(factor, prow[j]))
+                mat[r] = [sub(x, mul(factor, y)) for x, y in zip(row, prow)]
+        pivots.append(c)
+        if len(pivots) == len(mat):
+            break
+    return mat, pivots
+
+
+def mat_inv(ctx: FieldCtx, a: Mat) -> Mat:
+    """Inverse of a square matrix, read off the reduced form of [A | I]."""
+    n = len(a)
+    mat, pivots = rref(ctx, [list(r) + [int(i == j) for j in range(n)]
+                             for i, r in enumerate(a)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in mat)

@@ -48,6 +48,15 @@ def word_scale(ctx: FieldCtx, c: int, w: Word) -> Word:
     return tuple(mul(c, a) for a in w)
 
 
+def proj_normalize(ctx: FieldCtx, v: Sequence[int]) -> Tuple[int, ...]:
+    """Scale by an F_{q^m} unit so the first nonzero coordinate is 1."""
+    for c in v:
+        if c:
+            inv = ctx.inv(c)
+            return tuple(ctx.mul(inv, x) for x in v)
+    raise ValueError("cannot normalize the zero vector")
+
+
 def eval_linpoly(ctx: FieldCtx, w: Word, x: int) -> int:
     """Evaluate the linearized polynomial of w at x."""
     acc = 0

@@ -73,3 +73,18 @@ def ref_norm(ctx, x):
 
 def ref_neg(ctx, a):
     return encode(ctx, [(-c) % ctx.p for c in decode(ctx, a)])
+
+
+def ref_x_order(modulus, p):
+    """Multiplicative order of x modulo the monic polynomial `modulus`
+    (little-endian over F_p), by multiplying by x and reducing one step at
+    a time; 0 when no power x^k with 1 <= k < p^d is 1."""
+    d = len(modulus) - 1
+    one = [1] + [0] * (d - 1)
+    cur = one
+    for k in range(1, p ** d):
+        top = cur[-1]
+        cur = [(c - top * f) % p for c, f in zip([0] + cur[:-1], modulus)]
+        if cur == one:
+            return k
+    return 0

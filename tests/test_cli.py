@@ -8,6 +8,8 @@ import pytest
 from dickson_mrd import codefile
 from dickson_mrd import codes as cd
 from dickson_mrd.cli import main, parse_fq_element, parse_set
+from dickson_mrd.gfield import find_primitive_modulus
+from reference import ref_x_order
 
 
 def run(capsys, *argv):
@@ -44,6 +46,23 @@ def test_field_info(capsys):
     info = json.loads(out)
     assert info["q"] == 3 and info["order"] == 27
     assert info["modulus"] == [1, 2, 0, 1]
+
+
+@pytest.mark.parametrize("p, h, m", [(3, 1, 9), (5, 1, 5), (7, 1, 4), (3, 2, 4)])
+def test_field_info_defaults_to_the_first_primitive_modulus(capsys, p, h, m):
+    code, out, _ = run(capsys, "field-info", "--p", str(p), "--h", str(h), "--m", str(m))
+    assert code == 0
+    modulus = json.loads(out)["modulus"]
+    assert modulus == list(find_primitive_modulus(p, h * m))
+    assert ref_x_order(modulus, p) == p ** (h * m) - 1
+
+
+@pytest.mark.parametrize("modulus", ["0,0,0,1", "2,2,0,1"])
+def test_field_info_rejects_a_modulus_that_is_not_primitive(capsys, modulus):
+    # x^3 is reducible; x^3 + 2x + 2 is irreducible, but x has order 13
+    code, out, err = run(capsys, "field-info", "--p", "3", "--m", "3", "--modulus", modulus)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: modulus is not primitive"]
 
 
 def test_build_verify_roundtrip(tmp_path, capsys):
@@ -325,6 +344,27 @@ def test_verify_tampered_orbit_falls_back_to_bruteforce(tmp_path, capsys, f27):
     dist = json.loads(text)["distance"]
     assert dist["min_distance"] == 1
     assert dist["mode"] == "bruteforce"
+
+
+def test_verify_mislabelled_components_fail(tmp_path, capsys, f27):
+    # at q=3, m=3 PI(2) and J(1) have the same size: swapping their kind and
+    # parameter keeps every size and the word set, so only the orbit check
+    # can tell that neither component is what its label says
+    doc = codefile.code_to_dict(cd.build_family(f27, [2]))
+    pi = next(c for c in doc["components"] if c["kind"] == "PI")
+    j = next(c for c in doc["components"] if c["kind"] == "J")
+    pi["kind"], pi["a"], j["kind"], j["a"] = j["kind"], j["a"], pi["kind"], pi["a"]
+    bad = tmp_path / "mislabelled.json"
+    codefile.write_json(bad, doc)
+    code, text, _ = run(capsys, "verify", str(bad))
+    assert code == 1
+    rep = json.loads(text)
+    assert rep["distance"]["mode"] == "bruteforce" and rep["distance"]["mrd"]
+    checks = {c["tag"]: c for c in rep["components"]}
+    for tag in ("PI(2)", "J(1)"):
+        assert not checks[tag]["ok"]
+        assert checks[tag]["size"] == checks[tag]["expected"] == 338
+    assert all(checks[tag]["ok"] for tag in ("A1", "A2", "ZERO"))
 
 
 @pytest.mark.parametrize("key, value", [("p", 2 ** 61 - 1), ("m", 10 ** 8)])
