@@ -123,6 +123,8 @@ def find_primitive_modulus(p: int, d: int) -> Tuple[int, ...]:
     Candidates are ordered by the integer sum(c_i * p**i) over the low
     coefficients.  This is the default modulus of every field, so a field
     built without one is the same field, element for element, on every run.
+    A candidate with a root at 0 or 1 (constant term 0, or coefficient
+    sum 0 mod p) is divisible by x or x - 1, so it is skipped untested.
     """
     for k in range(p ** d):
         coeffs = []
@@ -131,7 +133,7 @@ def find_primitive_modulus(p: int, d: int) -> Tuple[int, ...]:
             coeffs.append(kk % p)
             kk //= p
         cand = coeffs + [1]
-        if is_primitive(cand, p):
+        if cand[0] and sum(cand) % p and is_primitive(cand, p):
             return tuple(cand)
     raise ValueError(f"no primitive polynomial of degree {d} over F_{p}")
 
@@ -165,13 +167,14 @@ class FieldCtx:
             raise ValueError(f"p = {p} is not prime")
         if modulus is None:
             modulus = find_primitive_modulus(p, d)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != d + 1:
-            raise ValueError(f"modulus must have degree {d} (got {len(modulus) - 1})")
-        if modulus[-1] != 1:
-            raise ValueError("modulus must be monic")
-        if not is_primitive(modulus, p):
-            raise ValueError("modulus is not primitive")
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != d + 1:
+                raise ValueError(f"modulus must have degree {d} (got {len(modulus) - 1})")
+            if modulus[-1] != 1:
+                raise ValueError("modulus must be monic")
+            if not is_primitive(modulus, p):
+                raise ValueError("modulus is not primitive")
 
         self.p = p
         self.h = h

@@ -418,3 +418,13 @@ def test_outputs_are_byte_identical(tmp_path, monkeypatch, capsys):
         assert code == 0, argv
         data = (tmp_path / argv[-1]).read_bytes() if argv[0] == "build" else text.encode()
         assert hashlib.sha256(data).hexdigest() == digest, argv
+
+
+def test_build_at_scale_is_byte_identical(tmp_path, capsys):
+    # characteristic 2 with h = 2: the 65,536-word family at q=4, m=4
+    out = tmp_path / "fam.json"
+    code, _, _ = run(capsys, "build", "--p", "2", "--h", "2", "--m", "4",
+                     "--set", "g85", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "a345cf8e70d92aa34076fa4bd3378252028ca364396d1d0c64ac47b74b384de0"

@@ -3,7 +3,9 @@ fail with anything but a clean error.
 
 Each case applies one to three mutations to the q=3, m=3 family file: drop
 a key or list entry, replace a value with a JSON value of another type, or
-truncate a list (a word, an element, a component's word list).
+truncate a list (a word, an element, a component's word list).  A file that
+still holds a retyped coefficient of the modulus, of a parameter `a` or of a
+word must exit 2.
 """
 
 import copy
@@ -70,9 +72,35 @@ def apply(doc, path, op, value):
     if op == "drop":
         del parent[path[-1]]
     elif op == "retype":
-        parent[path[-1]] = value
+        parent[path[-1]] = copy.deepcopy(value)
     elif isinstance(target, list) and target:
         target.pop()
+
+
+def is_coefficient(path):
+    """Whether the loader reads path as a coefficient: of the modulus, of
+    a component's parameter `a` or of an element of a word."""
+    shape = tuple(int if type(key) is int else key for key in path)
+    return shape in COEFFICIENT_SHAPES
+
+
+COEFFICIENT_SHAPES = {("field", "modulus", int), ("components", int, "a", int),
+                      ("components", int, "words", int, int, int)}
+
+
+MISSING = object()
+
+
+def value_at(doc, path):
+    node = doc
+    for key in path:
+        if not isinstance(node, (dict, list)):
+            return MISSING
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return MISSING
+    return node
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +124,7 @@ def test_mutated_code_file_loads_or_exits_cleanly(code_path, mutations):
         code = main(["verify", str(code_path), "--mode", "orbit"])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    retyped = [value_at(doc, path) for path, op, _ in mutations
+               if op == "retype" and is_coefficient(path)]
+    if any(v is not MISSING and type(v) is not int for v in retyped):
+        assert code == 2

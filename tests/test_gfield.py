@@ -76,6 +76,15 @@ def test_default_moduli_are_first_in_search_order():
         assert make_field(p, 1, d).modulus == pinned, (p, d)
 
 
+def test_search_skips_no_primitive_candidate():
+    # the search skips candidates with a root at 0 or 1 untested; testing
+    # every candidate in the same order must find the same first one
+    for p, d in [(2, 2), (2, 5), (2, 11), (3, 2), (3, 7), (5, 2), (5, 4), (7, 3), (11, 2)]:
+        low = (tuple(k // p ** i % p for i in range(d)) for k in range(p ** d))
+        first = next(cs + (1,) for cs in low if is_primitive(cs + (1,), p))
+        assert find_primitive_modulus(p, d) == first, (p, d)
+
+
 def test_nonprimitive_modulus_is_detected_by_order():
     # x^3 + 2x + 2 is irreducible over F_3 but its root has order 13
     assert not is_primitive((2, 2, 0, 1), 3)
