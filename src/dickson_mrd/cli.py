@@ -150,7 +150,10 @@ def cmd_distdist(args) -> int:
 def cmd_geometry(args) -> int:
     ctx = _field(args)
     I = parse_set(ctx, args.set)
-    proj = ge.verify_projective_decomposition(ctx, I)
+    if not I:
+        raise ValueError("I must be nonempty")
+    fam = build_family(ctx, I)
+    proj = ge.verify_projective_decomposition(fam)
     payload = {
         "field": ctx.describe(),
         "I": [fq_label(ctx, a) for a in I],
@@ -158,11 +161,11 @@ def cmd_geometry(args) -> int:
     }
     ok = proj.ok
     if ge.spread_point_count(ctx) <= ge.SPREAD_POINT_LIMIT:
-        spread = ge.verify_spread_decomposition(ctx, I)
+        spread = ge.verify_spread_decomposition(fam)
         payload["spread_decomposition"] = spread.as_dict()
         ok &= spread.ok
     else:
-        sub = ge.dickson_side_subchecks(ctx, I)
+        sub = ge.dickson_side_subchecks(fam)
         payload["spread_decomposition"] = "skipped: beyond full-spread desk bound"
         payload["dickson_side_subchecks"] = sub
         ok &= sub["ok"]
@@ -174,7 +177,7 @@ def cmd_geometry(args) -> int:
     if args.points:
         payload["points"] = {
             name: [codefile.word_to_lists(ctx, p) for p in sorted(pts)]
-            for name, pts in ge.component_images(ctx, I)
+            for name, pts in ge.component_images(fam)
         }
     payload["ok"] = ok
     _emit(args, payload)
@@ -217,8 +220,6 @@ def cmd_cmp(args) -> int:
 def cmd_splash(args) -> int:
     ctx = _field(args)
     a = parse_fq_element(ctx, args.a)
-    if a == 0:
-        raise ValueError("a must be nonzero")
     w_line = ge.line_through(ctx, (1, 0, 0), (0, 0, 1))
     pi_img = ge.proj_image(ctx, build_pi(ctx, a))
     splash = ge.exterior_splash(ctx, pi_img, w_line)

@@ -2,7 +2,9 @@
 with the Dickson-model family.
 
 The CMP construction lives on the plane curve X1 * X2^q - X3^(q+1) = 0 of
-PG(2, q^3).  Its vector-side components are
+PG(2, q^3).  Its vector-side components are the Singer-pair orbits of the
+generators in the registry `CURVE_KINDS`, from which `codes.build_family`
+composes the family:
 
 * gamma(a): tuples (c, c x^(q+1), c x^q) over nonzero c and x of norm a,
 * Z(b):     tuples (c x, -c beta x^q, 0) with beta of norm b,
@@ -24,22 +26,20 @@ the Z(a) image (the two agree only at a = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .gfield import FieldCtx
 from .codes import (
+    KINDS,
     Component,
     MrdReport,
     RankCode,
+    Registry,
     Report,
-    _base_rows,
-    _check_fq_param,
-    _scaled_orbit,
-    build_axis,
     build_family,
     build_pi,
     fq_label,
-    split_params,
+    kind_component,
     verify_mrd,
 )
 from .geometry import (
@@ -50,7 +50,7 @@ from .geometry import (
     proj_normalize,
     proj_points_iter,
 )
-from .linforms import Word, zero_word
+from .linforms import Word
 
 
 def _require_plane(ctx: FieldCtx) -> None:
@@ -58,53 +58,55 @@ def _require_plane(ctx: FieldCtx) -> None:
         raise ValueError("this construction needs m = 3")
 
 
-def build_gamma(ctx: FieldCtx, a: int) -> FrozenSet[Word]:
-    """Tuples (c, c x^(q+1), c x^q) over nonzero c and x in the norm fiber
-    of a; size (q^3 - 1)^2 / (q - 1).  This is the Singer-pair orbit of the
-    tuple of alpha, the first norm-fiber element over a: its twist by y is
-    the tuple of x = alpha * y^(-q(q-1)), which runs over the whole fiber."""
-    _require_plane(ctx)
-    _check_fq_param(ctx, a)
+def gamma_generator(ctx: FieldCtx, a: int) -> Word:
+    """(1, alpha^(q+1), alpha^q) with alpha the first norm-fiber element
+    over a.  Its Singer-pair orbit is gamma(a): the twist by y is the tuple
+    of x = alpha * y^(-q(q-1)), which runs over the whole fiber."""
     alpha = ctx.norm_fiber(a)[0]
     alpha_q = ctx.pow(alpha, ctx.q)
-    return _scaled_orbit(ctx, _base_rows(ctx, (1, ctx.mul(alpha_q, alpha), alpha_q)))
+    return (1, ctx.mul(alpha_q, alpha), alpha_q)
+
+
+# The curve-model registry for `build_family`, in family component order.
+CURVE_KINDS: Registry = {
+    "GAMMA": gamma_generator,
+    "Z": lambda ctx, b: (1, ctx.neg(ctx.norm_fiber(b)[0]), 0),
+    "A1": KINDS["A1"],
+    "A2P": lambda ctx, a: (0, 1, 0),
+    "ZERO": KINDS["ZERO"],
+}
+
+
+def _curve_orbit(ctx: FieldCtx, kind: str, a: Optional[int] = None) -> FrozenSet[Word]:
+    """The words of one curve-kind component (m = 3 only)."""
+    _require_plane(ctx)
+    return kind_component(ctx, kind, a, CURVE_KINDS).words
+
+
+def build_gamma(ctx: FieldCtx, a: int) -> FrozenSet[Word]:
+    """Tuples (c, c x^(q+1), c x^q) over nonzero c and x in the norm fiber
+    of a; size (q^3 - 1)^2 / (q - 1)."""
+    return _curve_orbit(ctx, "GAMMA", a)
 
 
 def build_Z(ctx: FieldCtx, b: int) -> FrozenSet[Word]:
     """Tuples (c x, -c beta x^q, 0) with beta the first norm-fiber element
     over b; size (q^3 - 1)^2 / (q - 1)."""
-    _require_plane(ctx)
-    _check_fq_param(ctx, b)
-    beta = ctx.norm_fiber(b)[0]
-    return _scaled_orbit(ctx, _base_rows(ctx, (1, ctx.neg(beta), 0)))
+    return _curve_orbit(ctx, "Z", b)
 
 
 def build_axis_mid(ctx: FieldCtx) -> FrozenSet[Word]:
     """A2': the tuples (0, x, 0)."""
-    _require_plane(ctx)
-    return _scaled_orbit(ctx, [(0, 1, 0)])
+    return _curve_orbit(ctx, "A2P")
 
 
 def build_cmp_family(ctx: FieldCtx, I: Sequence[int]) -> RankCode:
     """The curve-model family: GAMMA(a) for a in I, Z(b) for the remaining
     nonzero b, A1, A2P (the A2' axis) and zero; q^6 tuples in total."""
     _require_plane(ctx)
-    if ctx.q <= 2:
-        raise ValueError("q must exceed 2")
-    iset, rest = split_params(ctx, I)
-    if not iset:
+    if not I:
         raise ValueError("I must be nonempty")
-    comps = (
-        [Component("GAMMA", a, build_gamma(ctx, a)) for a in iset]
-        + [Component("Z", b, build_Z(ctx, b)) for b in rest]
-        + [Component("A1", None, build_axis(ctx, 1)),
-           Component("A2P", None, build_axis_mid(ctx)),
-           Component("ZERO", None, frozenset([zero_word(ctx)]))]
-    )
-    fam = RankCode.assemble(ctx, 2, comps)
-    if fam.size != ctx.q ** 6:
-        raise RuntimeError("curve family has unexpected size")
-    return fam
+    return build_family(ctx, I, CURVE_KINDS)
 
 
 def theta(ctx: FieldCtx, v: Sequence[int]) -> Tuple[int, int, int]:
@@ -221,7 +223,6 @@ def verify_curve_splash(ctx: FieldCtx, a: int) -> CurveSplashReport:
     image; also check theta carries it onto the splash of the pi(1/a)
     image on the line X2 = 0."""
     _require_plane(ctx)
-    _check_fq_param(ctx, a)
     u_line = line_through(ctx, (1, 0, 0), (0, 1, 0))
     gamma_img = proj_image(ctx, build_gamma(ctx, a))
     splash = exterior_splash(ctx, gamma_img, u_line)

@@ -18,7 +18,8 @@ The registry `KINDS` holds one generator per kind and nothing else;
 `kind_component` derives the whole orbit from it (its twists by x, scaled
 to a leading 1, closed under scalars), and a loaded component is trusted as
 an orbit exactly when it equals the orbit its kind and parameter generate
-(`checked_orbit_rep`).
+(`checked_orbit_rep`).  `build_family` is the one place a family is
+composed, from `KINDS` or from the curve-model registry of `cmp_family`.
 
 A `RankCode` is its components: the scans, the loader and the reports read
 them, and the union `words` is built only on first use.  `disjoint_union`
@@ -159,13 +160,6 @@ def singleton_bound(q: int, m: int, d: int) -> int:
 # component construction
 # ----------------------------------------------------------------------
 
-def _check_fq_param(ctx: FieldCtx, a: Optional[int]) -> None:
-    if not a:
-        raise ValueError("parameter must be nonzero")
-    if not ctx.in_fq(a):
-        raise ValueError("parameter must lie in the subfield F_q")
-
-
 def split_params(ctx: FieldCtx, I: Sequence[int]) -> Tuple[List[int], List[int]]:
     """(I in subfield order, the nonzero elements of F_q outside I).
     I must be a subset of F_q minus {0, 1}."""
@@ -180,7 +174,6 @@ def split_params(ctx: FieldCtx, I: Sequence[int]) -> Tuple[List[int], List[int]]
 def pi_generator(ctx: FieldCtx, a: int) -> Word:
     """The word (1, alpha, alpha^(1+q), ...) with alpha the first norm-fiber
     element over a; its Singer-pair orbit is pi(a)."""
-    _check_fq_param(ctx, a)
     alpha = ctx.norm_fiber(a)[0]
     q = ctx.q
     return tuple(ctx.pow(alpha, (q ** k - 1) // (q - 1)) for k in range(ctx.m))
@@ -189,14 +182,14 @@ def pi_generator(ctx: FieldCtx, a: int) -> Word:
 def j_generator(ctx: FieldCtx, b: int) -> Word:
     """The word (1, 0, ..., 0, -beta) with beta the first norm-fiber
     element over b; its Singer-pair orbit is J(b)."""
-    _check_fq_param(ctx, b)
     beta = ctx.norm_fiber(b)[0]
     return (1,) + (0,) * (ctx.m - 2) + (ctx.neg(beta),)
 
 
-# The generator of each kind's Singer-pair orbit, in family component order.
-# PI and J take their F_q parameter `a`; the other kinds ignore it.
-KINDS: Dict[str, Callable[[FieldCtx, Optional[int]], Word]] = {
+# A registry: the generator of each kind's Singer-pair orbit, in family
+# component order.  The first two kinds take an F_q parameter `a`.
+Registry = Dict[str, Callable[[FieldCtx, Optional[int]], Word]]
+KINDS: Registry = {
     "PI": pi_generator,
     "J": j_generator,
     "A1": lambda ctx, a: (1,) + (0,) * (ctx.m - 1),
@@ -232,9 +225,10 @@ def kind_size(ctx: FieldCtx, kind: str, a: Optional[int] = None) -> int:
     return len(_base_rows(ctx, KINDS[kind](ctx, a))) * ctx.mult_order or 1
 
 
-def kind_component(ctx: FieldCtx, kind: str, a: Optional[int] = None) -> Component:
+def kind_component(ctx: FieldCtx, kind: str, a: Optional[int] = None,
+                   kinds: Registry = KINDS) -> Component:
     """The whole Singer-pair orbit of a registry kind, tagged with its generator."""
-    w = KINDS[kind](ctx, a)
+    w = kinds[kind](ctx, a)
     rows = _base_rows(ctx, w)
     return Component(kind, a, _scaled_orbit(ctx, rows) if rows else frozenset([w]), w)
 
@@ -267,9 +261,10 @@ def checked_orbit_rep(ctx: FieldCtx, kind: str, a: Optional[int],
     return comp.orbit_rep if words == comp.words else None
 
 
-def build_family(ctx: FieldCtx, I: Sequence[int]) -> RankCode:
-    """The non-linear family: pi(a) for a in I, J(b) for the remaining
-    nonzero b, both axes, and the zero word.  Claimed distance m - 1.
+def build_family(ctx: FieldCtx, I: Sequence[int], kinds: Registry = KINDS) -> RankCode:
+    """The non-linear family from a registry: its first kind (PI) for each
+    a in I, its second (J) for each remaining nonzero b, then each other
+    kind once (both axes, the zero word).  Claimed distance m - 1.
 
     I must consist of subfield elements other than 0 and 1.  The empty I is
     accepted with a warning: the result degenerates to the linear code of
@@ -282,9 +277,10 @@ def build_family(ctx: FieldCtx, I: Sequence[int]) -> RankCode:
     iset, rest = split_params(ctx, I)
     if not iset:
         warnings.warn("empty I: the family degenerates to a linear code")
-    params = {"PI": iset, "J": rest}
-    comps = [kind_component(ctx, kind, a)
-             for kind in KINDS for a in params.get(kind, [None])]
+    first, second, *_ = kinds
+    params = {first: iset, second: rest}
+    comps = [kind_component(ctx, kind, a, kinds)
+             for kind in kinds for a in params.get(kind, [None])]
     code = RankCode.assemble(ctx, ctx.m - 1, comps)
     if code.size != ctx.q ** (2 * ctx.m):
         raise RuntimeError("family has unexpected size")

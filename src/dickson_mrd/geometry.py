@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from .codes import (KINDS, Report, build_J, build_pi, disjoint_union, fq_label,
-                    kind_component, split_params)
+from .codes import Component, RankCode, Report, build_pi, disjoint_union
 from .gfield import FieldCtx
 from .linalg import fq_rank, mat_inv, mat_mul, mat_rank, mat_transpose, mat_vec
 from .linforms import Word, dickson, proj_normalize, word_scale
@@ -338,8 +337,8 @@ def line_classes(ctx: FieldCtx, words: Iterable[Word]) -> Dict[ProjPoint, Frozen
     return {rep: frozenset(g) for rep, g in sorted(groups.items())}
 
 
-def hyperregulus(ctx: FieldCtx, a: int) -> HyperregulusReport:
-    """The family of spread elements covering the image of the J(a)
+def hyperregulus(ctx: FieldCtx, component: Component) -> HyperregulusReport:
+    """The family of spread elements covering the image of a J(a)
     component in PG(m^2-1, q).
 
     Every member is the class set of one F_{q^m}-line with generator
@@ -348,10 +347,8 @@ def hyperregulus(ctx: FieldCtx, a: int) -> HyperregulusReport:
     condition.  `covers_component` compares the members' union with the
     union of the lines through (1, 0, ..., 0, y) over that whole fiber.
     """
-    if a == 0:
-        raise ValueError("parameter must be nonzero")
-    component = build_J(ctx, a)
-    groups = line_classes(ctx, component)
+    a = component.a
+    groups = line_classes(ctx, component.words)
     members = tuple(groups.values())
     line_ok = all(
         member == spread_element_points(ctx, rep) for rep, member in groups.items()
@@ -411,20 +408,26 @@ class ProjectiveDecompositionReport(Report):
         return self.sizes_ok and self.disjoint and self.j_on_line
 
 
-def component_images(ctx: FieldCtx, I: Sequence[int]) -> List[Tuple[str, FrozenSet[ProjPoint]]]:
-    """(tag, image in PG(m-1, q^m)) of the family's nonzero components:
-    A1, A2, then pi(a) for a in I and J(b) for the remaining nonzero b."""
-    iset, rest = split_params(ctx, I)
-    named = [("A1", None), ("A2", None)] + [("PI", a) for a in iset] + [("J", b) for b in rest]
-    comps = [kind_component(ctx, kind, a) for kind, a in named]
-    return [(c.tag(ctx), proj_image(ctx, c.words)) for c in comps]
-
-
-def verify_projective_decomposition(ctx: FieldCtx, I: Sequence[int]) -> ProjectiveDecompositionReport:
-    if not split_params(ctx, I)[0]:
+def _pi_and_j(code: RankCode) -> Tuple[List[Component], List[Component]]:
+    """The PI and the J components of a family, which needs a nonempty I."""
+    pis = [c for c in code.components if c.kind == "PI"]
+    if not pis:
         raise ValueError("I must be nonempty")
-    m = ctx.m
-    named = component_images(ctx, I)
+    return pis, [c for c in code.components if c.kind == "J"]
+
+
+def component_images(code: RankCode) -> List[Tuple[str, FrozenSet[ProjPoint]]]:
+    """(tag, image in PG(m-1, q^m)) of the family's nonzero components:
+    A1, A2, then the PI and J components in family order."""
+    comps = ([c for c in code.components if c.kind in ("A1", "A2")]
+             + [c for c in code.components if c.kind in ("PI", "J")])
+    return [(c.tag(code.ctx), proj_image(code.ctx, c.words)) for c in comps]
+
+
+def verify_projective_decomposition(code: RankCode) -> ProjectiveDecompositionReport:
+    _pi_and_j(code)
+    ctx, m = code.ctx, code.m
+    named = component_images(code)
     per = ctx.subfield_index
     sizes = {name: len(pts) for name, pts in named}
     sizes_ok = all(
@@ -474,10 +477,9 @@ class SpreadDecompositionReport(Report):
         )
 
 
-def verify_spread_decomposition(ctx: FieldCtx, I: Sequence[int]) -> SpreadDecompositionReport:
-    iset, rest = split_params(ctx, I)
-    if not iset:
-        raise ValueError("I must be nonempty")
+def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
+    pis, js = _pi_and_j(code)
+    ctx = code.ctx
     per = ctx.subfield_index
     spread = {el.rep: el.points for el in spread_partition(ctx)}
 
@@ -485,7 +487,7 @@ def verify_spread_decomposition(ctx: FieldCtx, I: Sequence[int]) -> SpreadDecomp
 
     # the two axis components are single spread elements
     axis_ok = True
-    for w in (KINDS["A1"](ctx, None), KINDS["A2"](ctx, None)):
+    for w in (c.orbit_rep for c in code.components if c.kind in ("A1", "A2")):
         pts = spread_element_points(ctx, w)
         axis_ok &= spread[proj_normalize(ctx, w)] == pts
         used_elements.append(pts)
@@ -495,22 +497,22 @@ def verify_spread_decomposition(ctx: FieldCtx, I: Sequence[int]) -> SpreadDecomp
     segre_counts = {}
     segre_equiv = True
     image_in_spread = True
-    for a in iset:
-        groups = line_classes(ctx, build_pi(ctx, a))
+    for c in pis:
+        groups = line_classes(ctx, c.words)
         image = frozenset().union(*groups.values())
-        segre_counts[f"PI({fq_label(ctx, a)})"] = len(image)
-        alpha = ctx.norm_fiber(a)[0]
+        segre_counts[c.tag(ctx)] = len(image)
+        alpha = ctx.norm_fiber(c.a)[0]
         mapped = frozenset(fq_canonical(ctx, tau(ctx, alpha, w)) for w in base_segre)
         segre_equiv &= mapped == image and len(image) == per * per
         for rep, pts in groups.items():
             image_in_spread &= spread[rep] == pts
             used_elements.append(pts)
 
-    hyper, ja_in_span = _j_side_checks(ctx, rest)
+    hyper, ja_in_span = _j_side_checks(ctx, js)
     for rep_report in hyper.values():
         used_elements.extend(rep_report.members)
 
-    expected = 2 + len(iset) * per + len(rest) * per
+    expected = 2 + len(pis) * per + len(js) * per
     return SpreadDecompositionReport(
         axis_elements_ok=axis_ok,
         segre_counts=segre_counts,
@@ -524,29 +526,25 @@ def verify_spread_decomposition(ctx: FieldCtx, I: Sequence[int]) -> SpreadDecomp
     )
 
 
-def _j_side_checks(ctx: FieldCtx, rest: Sequence[int]) -> Tuple[Dict[str, HyperregulusReport], bool]:
+def _j_side_checks(ctx: FieldCtx, js: Sequence[Component]) -> Tuple[Dict[str, HyperregulusReport], bool]:
     """The hyperregulus report of each J component, and whether the J and
     axis images live in the span of the two axis spread elements, i.e. on
     words supported on the first and last coordinate."""
-    hyper = {f"J({fq_label(ctx, b)})": hyperregulus(ctx, b) for b in rest}
-    ja_in_span = all(not any(w[1:-1]) for b in rest for w in build_J(ctx, b))
+    hyper = {c.tag(ctx): hyperregulus(ctx, c) for c in js}
+    ja_in_span = all(not any(w[1:-1]) for c in js for w in c.words)
     return hyper, ja_in_span
 
 
-def dickson_side_subchecks(ctx: FieldCtx, I: Sequence[int]) -> dict:
+def dickson_side_subchecks(code: RankCode) -> dict:
     """Class-count and containment checks that stay on the Dickson side, for
     parameters where the full spread exceeds the desk bound: image sizes of
     the pi components (Segre point counts), hyperregulus structure of the J
     components, and the first-last support of the J and axis parts."""
-    iset, rest = split_params(ctx, I)
-    if not iset:
-        raise ValueError("I must be nonempty")
+    pis, js = _pi_and_j(code)
+    ctx = code.ctx
     per = ctx.subfield_index
-    segre_ok = {
-        f"PI({fq_label(ctx, a)})": len(fq_classes(ctx, build_pi(ctx, a))) == per * per
-        for a in iset
-    }
-    hyper, support_ok = _j_side_checks(ctx, rest)
+    segre_ok = {c.tag(ctx): len(fq_classes(ctx, c.words)) == per * per for c in pis}
+    hyper, support_ok = _j_side_checks(ctx, js)
     hyper_ok = {tag: rep_report.ok for tag, rep_report in hyper.items()}
     return {
         "segre_class_counts": segre_ok,

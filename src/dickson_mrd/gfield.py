@@ -146,9 +146,9 @@ class FieldCtx:
     p, h, m : int
         Prime characteristic, with q = p^h and extension degree m >= 2.
     modulus : sequence of int, optional
-        Little-endian coefficients of a monic primitive polynomial of
-        degree h*m over F_p.  Defaults to the first one in search order,
-        ``find_primitive_modulus(p, h*m)``.
+        Little-endian coefficients, each in 0..p-1 (never reduced mod p),
+        of a monic primitive polynomial of degree h*m over F_p.  Defaults
+        to the first one in search order, ``find_primitive_modulus(p, h*m)``.
     """
 
     def __init__(self, p: int, h: int, m: int, modulus: Optional[Sequence[int]] = None):
@@ -168,7 +168,9 @@ class FieldCtx:
         if modulus is None:
             modulus = find_primitive_modulus(p, d)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
+            modulus = tuple(modulus)
+            if not all(0 <= c < p for c in modulus):
+                raise ValueError(f"modulus coefficients must lie in 0..{p - 1}")
             if len(modulus) != d + 1:
                 raise ValueError(f"modulus must have degree {d} (got {len(modulus) - 1})")
             if modulus[-1] != 1:
@@ -320,11 +322,12 @@ class FieldCtx:
         return self.exp[(self.log[x] * self.subfield_index) % self.mult_order]
 
     def norm_fiber(self, a: int) -> List[int]:
-        """All x with norm(x) = a, ascending by discrete log.  a in F_q*."""
-        if a == 0:
-            raise ValueError("norm fiber of 0 is just {0}; a must be nonzero")
+        """All x with norm(x) = a, ascending by discrete log.  This is the
+        one check of an F_q parameter: a must be a nonzero element of F_q."""
+        if not a:
+            raise ValueError("parameter must be nonzero")
         if not self.in_fq(a):
-            raise ValueError("a is not in the subfield F_q")
+            raise ValueError("parameter must lie in the subfield F_q")
         j = self.log[a] // self.subfield_index
         return [self.exp[e] for e in range(j, self.mult_order, self.q - 1)]
 

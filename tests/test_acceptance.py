@@ -218,8 +218,9 @@ def test_criterion_7_geometry_suite(f27):
             f27, ge.field_reduce(f27, u)
         ):
             rank_equal = False
-    proj = ge.verify_projective_decomposition(f27, [2])
-    spr = ge.verify_spread_decomposition(f27, [2])
+    fam = cd.build_family(f27, [2])
+    proj = ge.verify_projective_decomposition(fam)
+    spr = ge.verify_spread_decomposition(fam)
     red = ge.verify_reduction_equivalence(f27, ge.reduction_sample(f27, 10000))
     checks = {
         "spread_757x13": len(spread) == 757 and all(len(e.points) == 13 for e in spread),

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from dickson_mrd import codefile
+from dickson_mrd import cli, codefile
 from dickson_mrd import codes as cd
 from dickson_mrd.cli import main, parse_fq_element, parse_set
 from dickson_mrd.gfield import find_primitive_modulus
@@ -428,3 +428,61 @@ def test_build_at_scale_is_byte_identical(tmp_path, capsys):
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "a345cf8e70d92aa34076fa4bd3378252028ca364396d1d0c64ac47b74b384de0"
+
+
+# ----------------------------------------------------------------------
+# parameter gates
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("a, message", [
+    (None, "parameter must be nonzero"),
+    ([0, 0, 0], "parameter must be nonzero"),
+    ([0, 1, 0], "parameter must lie in the subfield F_q"),  # g, outside F_3
+])
+@pytest.mark.parametrize("kind", ["PI", "J"])
+def test_file_with_bad_component_parameter_exits_two(tmp_path, capsys, f27, kind, a, message):
+    doc = codefile.code_to_dict(cd.build_family(f27, [2]))
+    next(c for c in doc["components"] if c["kind"] == kind)["a"] = a
+    bad = tmp_path / "bad.json"
+    codefile.write_json(bad, doc)
+    code, text, err = run(capsys, "verify", str(bad))
+    assert (code, text) == (2, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command", [["build", "--out", "unused.json"],
+                                     ["geometry", "--sample", "10"]])
+def test_geometry_takes_the_build_gate(capsys, command):
+    code, text, err = run(capsys, *command, "--p", "3", "--m", "2", "--set", "2")
+    assert (code, text) == (2, "")
+    assert err.splitlines() == ["error: m must be at least 3"]
+
+
+def test_geometry_builds_the_family_once(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_family", lambda *a: built.append(a) or cd.build_family(*a))
+    code, _, _ = run(capsys, "geometry", "--p", "3", "--m", "3", "--set", "2",
+                     "--sample", "10", "--points")
+    assert code == 0 and len(built) == 1
+
+
+def test_geometry_rejects_an_empty_set(capsys, recwarn):
+    code, text, err = run(capsys, "geometry", "--p", "3", "--m", "3", "--set", "",
+                          "--sample", "10")
+    assert (code, text) == (2, "")
+    assert err.splitlines() == ["error: I must be nonempty"]
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("modulus", ["4,2,0,1", "1,-1,0,1", "1,2,0,4"])
+def test_field_info_rejects_a_modulus_coefficient_outside_the_prime_field(capsys, modulus):
+    # each one reduced mod 3 is the primitive default 1,2,0,1
+    code, out, err = run(capsys, "field-info", "--p", "3", "--m", "3", "--modulus", modulus)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: modulus coefficients must lie in 0..2"]
+
+
+def test_splash_rejects_a_zero_parameter(capsys):
+    code, text, err = run(capsys, "splash", "--p", "3", "--a", "0")
+    assert (code, text) == (2, "")
+    assert err.splitlines() == ["error: parameter must be nonzero"]

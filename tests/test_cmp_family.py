@@ -71,6 +71,42 @@ def test_cmp_family_sizes(f27, f64, f125):
     assert cf.build_cmp_family(f125, [2, 3]).size == 5 ** 6
 
 
+def _curve_component_by_definition(ctx, kind, a):
+    """The component's defining set, enumerated without the registry."""
+    q, mul, frob = ctx.q, ctx.mul, ctx.frobenius
+    if kind == "GAMMA":
+        fiber = [x for x in ctx.exp if ctx.norm(x) == a]
+        return {(c, mul(c, ctx.pow(x, q + 1)), mul(c, frob(x, 1)))
+                for c in ctx.exp for x in fiber}
+    if kind == "Z":
+        beta = next(x for x in ctx.exp if ctx.norm(x) == a)
+        return {(mul(c, x), ctx.neg(mul(mul(c, beta), frob(x, 1))), 0)
+                for c in ctx.exp for x in ctx.exp}
+    axis = {"A1": 0, "A2P": 1}
+    if kind in axis:
+        return {tuple(x if i == axis[kind] else 0 for i in range(3)) for x in ctx.exp}
+    assert kind == "ZERO"
+    return {(0, 0, 0)}
+
+
+@pytest.mark.parametrize("fixture", ["f27", "f64"])
+def test_cmp_family_components_are_their_defining_sets(fixture, request):
+    ctx = request.getfixturevalue(fixture)
+    fam = cf.build_cmp_family(ctx, [ctx.fq_elems[2]])
+    assert [c.kind for c in fam.components] == (
+        ["GAMMA"] + ["Z"] * (ctx.q - 2) + ["A1", "A2P", "ZERO"])
+    for c in fam.components:
+        assert c.words == _curve_component_by_definition(ctx, c.kind, c.a), c.kind
+        assert c.orbit_rep in c.words
+
+
+def test_cmp_family_orbit_mode_equals_bruteforce(f27):
+    fam = cf.build_cmp_family(f27, [2])
+    orbit = cd.verify_mrd(fam, "orbit")
+    brute = cd.verify_mrd(fam, "bruteforce")
+    assert (orbit.min_distance, orbit.mrd) == (brute.min_distance, brute.mrd) == (2, True)
+
+
 def test_cmp_family_validation(f27):
     with pytest.raises(ValueError):
         cf.build_cmp_family(f27, [])

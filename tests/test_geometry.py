@@ -260,41 +260,35 @@ def test_segre_invariant_only_under_norm_one_tau(f27):
 
 def test_hyperregulus_reports(f27):
     for a in (1, 2):
-        rep = ge.hyperregulus(f27, a)
+        rep = ge.hyperregulus(f27, cd.kind_component(f27, "J", a))
         assert rep.ok
         assert len(rep.members) == 13
     with pytest.raises(ValueError):
-        ge.hyperregulus(f27, 0)
+        ge.hyperregulus(f27, cd.kind_component(f27, "J", 0))
 
 
 def test_hyperregulus_members_are_spread_elements(f27):
     spread_sets = {el.points for el in ge.spread_partition(f27)}
     for a in (1, 2):
-        rep = ge.hyperregulus(f27, a)
+        rep = ge.hyperregulus(f27, cd.kind_component(f27, "J", a))
         for member in rep.members:
             assert member in spread_sets
 
 
 @pytest.mark.parametrize("fixture", ["f8", "f27", "f81"])
-def test_hyperregulus_cover_check_sees_a_missing_point(fixture, request, monkeypatch):
+def test_hyperregulus_cover_check_sees_a_missing_point(fixture, request):
     # drop one J(a) word with its F_q-multiples (one word when q = 2): one point
     ctx = request.getfixturevalue(fixture)
-    a = ctx.fq_elems[-1]
-    assert ge.hyperregulus(ctx, a).covers_component
-    full_J = cd.build_J
-
-    def build_J_minus_point(ctx, b):
-        words = full_J(ctx, b)
-        w = min(words)
-        return words - {lf.word_scale(ctx, c, w) for c in ctx.fq_elems[1:]}
-
-    monkeypatch.setattr(ge, "build_J", build_J_minus_point)
-    assert not ge.hyperregulus(ctx, a).covers_component
+    full = cd.kind_component(ctx, "J", ctx.fq_elems[-1])
+    assert ge.hyperregulus(ctx, full).covers_component
+    w = min(full.words)
+    missing = full.words - {lf.word_scale(ctx, c, w) for c in ctx.fq_elems[1:]}
+    assert not ge.hyperregulus(ctx, cd.Component("J", full.a, missing)).covers_component
 
 
 def test_hyperregulus_norm_surface_at_one(f27):
     # generators (1, 0, ..., 0, y) sweep N(y) = (-1)^m; here (-1)^3 = 2
-    rep = ge.hyperregulus(f27, 1)
+    rep = ge.hyperregulus(f27, cd.kind_component(f27, "J", 1))
     assert rep.norm_condition_ok
     target = f27.neg(1)
     for member in rep.members:
@@ -307,24 +301,24 @@ def test_hyperregulus_norm_surface_at_one(f27):
 # ----------------------------------------------------------------------
 
 def test_projective_decomposition_q3(f27):
-    rep = ge.verify_projective_decomposition(f27, [2])
+    rep = ge.verify_projective_decomposition(cd.build_family(f27, [2]))
     assert rep.ok
     assert rep.component_sizes == {"A1": 1, "A2": 1, "PI(2)": 13, "J(1)": 13}
 
 
 def test_projective_decomposition_q4(f64):
     om, om2 = f64.fq_elems[2], f64.fq_elems[3]
-    rep = ge.verify_projective_decomposition(f64, [om, om2])
+    rep = ge.verify_projective_decomposition(cd.build_family(f64, [om, om2]))
     assert rep.ok
     sizes = sorted(rep.component_sizes.values())
     assert sizes == [1, 1, 21, 21, 21]
 
 
 def test_projective_decomposition_rejects_empty_or_bad_I(f27):
+    with pytest.raises(ValueError, match="nonempty"), pytest.warns(UserWarning, match="empty I"):
+        ge.verify_projective_decomposition(cd.build_family(f27, []))
     with pytest.raises(ValueError):
-        ge.verify_projective_decomposition(f27, [])
-    with pytest.raises(ValueError):
-        ge.verify_projective_decomposition(f27, [1])
+        ge.verify_projective_decomposition(cd.build_family(f27, [1]))
 
 
 def test_disjointness_negative_control(f27):
@@ -336,7 +330,7 @@ def test_disjointness_negative_control(f27):
 
 
 def test_spread_decomposition_q3(f27):
-    rep = ge.verify_spread_decomposition(f27, [2])
+    rep = ge.verify_spread_decomposition(cd.build_family(f27, [2]))
     assert rep.ok
     assert rep.spread_elements_used == 28  # 2 + 13 + 13
     assert rep.segre_counts == {"PI(2)": 169}
@@ -344,7 +338,7 @@ def test_spread_decomposition_q3(f27):
 
 def test_spread_decomposition_bound(f64):
     with pytest.raises(ValueError, match="bound"):
-        ge.verify_spread_decomposition(f64, [f64.fq_elems[2]])
+        ge.verify_spread_decomposition(cd.build_family(f64, [f64.fq_elems[2]]))
 
 
 def test_cyclic_summands_span(f27, f64):
@@ -400,12 +394,12 @@ def test_splash_rejects_non_line(f27):
 
 def test_dickson_side_subchecks_q4(f64):
     om = f64.fq_elems[2]
-    out = ge.dickson_side_subchecks(f64, [om])
+    out = ge.dickson_side_subchecks(cd.build_family(f64, [om]))
     assert out["ok"]
     assert all(out["segre_class_counts"].values())
     assert all(out["hyperreguli"].values())
-    with pytest.raises(ValueError):
-        ge.dickson_side_subchecks(f64, [])
+    with pytest.raises(ValueError, match="nonempty"), pytest.warns(UserWarning, match="empty I"):
+        ge.dickson_side_subchecks(cd.build_family(f64, []))
 
 
 def test_pi_images_pairwise_disjoint_all_parameters(f27, f64):
@@ -433,9 +427,9 @@ def test_j_images_on_line_all_parameters(f27, f64):
 ])
 def test_decomposition_reports_reject_one_in_I(f27, check):
     with pytest.raises(ValueError, match="subset"):
-        check(f27, [1])
+        check(cd.build_family(f27, [1]))
     with pytest.raises(ValueError, match="subset"):
-        check(f27, [2, 1])
+        check(cd.build_family(f27, [2, 1]))
 
 
 def test_reduction_check_counts_both_failures_on_every_vector(f27, monkeypatch):

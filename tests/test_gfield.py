@@ -44,6 +44,13 @@ def test_make_field_rejects_bad_input():
         make_field(3, 1, 3, (1, 2, 0, 2))
 
 
+@pytest.mark.parametrize("modulus", [(4, 2, 0, 1), (1, -1, 0, 1), (1, 2, 0, 4)])
+def test_make_field_rejects_a_modulus_coefficient_outside_the_prime_field(modulus):
+    # reduced mod 3, each of these would be the primitive default 1,2,0,1
+    with pytest.raises(ValueError, match=r"must lie in 0\.\.2"):
+        make_field(3, 1, 3, modulus)
+
+
 # The moduli serialized artifacts have always used, keyed by (p, degree):
 # little-endian, constant term first, monic.
 PINNED_MODULI = {
