@@ -13,7 +13,6 @@ from .linforms import (
     form_eval,
     kernel,
     rank,
-    singer_orbit,
 )
 from .codes import (
     Component,
@@ -53,7 +52,6 @@ __all__ = [
     "make_field",
     "min_distance",
     "rank",
-    "singer_orbit",
     "singleton_bound",
     "verify_mrd",
 ]

@@ -28,8 +28,6 @@ from . import geometry as ge
 from .codes import (
     KINDS,
     build_family,
-    build_J,
-    build_pi,
     distance_distribution,
     fq_label,
     kind_size,
@@ -50,7 +48,12 @@ def parse_fq_element(ctx: FieldCtx, token: str) -> int:
         return x
     if ctx.h != 1:
         raise ValueError("residue form needs a prime q; use the gK form")
-    return int(token) % ctx.p
+    x = int(token)
+    if not 0 <= x < ctx.p:
+        raise ValueError(f"residues must lie in 0..{ctx.p - 1}")
+    return x
+
+
 def parse_set(ctx: FieldCtx, text: str) -> List[int]:
     if not text:
         return []
@@ -156,7 +159,7 @@ def cmd_geometry(args) -> int:
     proj = ge.verify_projective_decomposition(fam)
     payload = {
         "field": ctx.describe(),
-        "I": [fq_label(ctx, a) for a in I],
+        "I": [fq_label(ctx, c.a) for c in fam.components if c.kind == "PI"],
         "projective_decomposition": proj.as_dict(),
     }
     ok = proj.ok
@@ -187,19 +190,11 @@ def cmd_geometry(args) -> int:
 def cmd_cmp(args) -> int:
     ctx = _field(args)
     I = parse_set(ctx, args.set)
-    match = cf.verify_family_match(ctx, I, threads=args.threads)
-    component_maps = {}
-    for a in ctx.fq_elems[1:]:
-        inv_a = ctx.inv(a)
-        gam = frozenset(cf.theta(ctx, w) for w in cf.build_gamma(ctx, a))
-        zz = frozenset(cf.theta(ctx, w) for w in cf.build_Z(ctx, a))
-        component_maps[fq_label(ctx, a)] = {
-            "size": len(gam),
-            "gamma_to_pi": gam == build_pi(ctx, inv_a),
-            "z_to_j": zz == build_J(ctx, inv_a),
-        }
+    orbits = cf.Orbits(ctx)
+    match = cf.verify_family_match(orbits, I, threads=args.threads)
+    component_maps = cf.verify_component_maps(orbits)
     splashes = {
-        fq_label(ctx, a): cf.verify_curve_splash(ctx, a).as_dict()
+        fq_label(ctx, a): cf.verify_curve_splash(orbits, a).as_dict()
         for a in ctx.fq_elems[1:]
     }
     ok = (
@@ -220,12 +215,13 @@ def cmd_cmp(args) -> int:
 def cmd_splash(args) -> int:
     ctx = _field(args)
     a = parse_fq_element(ctx, args.a)
+    orbits = cf.Orbits(ctx)
     w_line = ge.line_through(ctx, (1, 0, 0), (0, 0, 1))
-    pi_img = ge.proj_image(ctx, build_pi(ctx, a))
+    pi_img = ge.proj_image(ctx, orbits["PI", a].words)
     splash = ge.exterior_splash(ctx, pi_img, w_line)
     b = ctx.pow(a, ctx.m - 1)
-    j_img = ge.proj_image(ctx, build_J(ctx, b))
-    curve = cf.verify_curve_splash(ctx, a)
+    j_img = ge.proj_image(ctx, orbits["J", b].words)
+    curve = cf.verify_curve_splash(orbits, a)
     ok = splash == j_img and curve.ok
     _emit(args, {
         "field": ctx.describe(),

@@ -16,7 +16,8 @@ J(1/b), A1 onto A2 and A2' onto A1, so the theta-image of the CMP family
 with parameter set I is exactly the Dickson-model family with parameter set
 I^-1.  `verify_family_match` checks that as plain set equality and runs the
 maximality verification on the registry-built Dickson-model family, whose
-components carry checked orbit representatives.
+components carry checked orbit representatives.  `verify_component_maps`
+checks the map of every gamma and Z component, each built once in `Orbits`.
 
 `verify_curve_splash` recomputes by brute force the exterior splash of a
 gamma component on the line X3 = 0: it equals the norm fiber of -a^2, not
@@ -37,7 +38,6 @@ from .codes import (
     Registry,
     Report,
     build_family,
-    build_pi,
     fq_label,
     kind_component,
     verify_mrd,
@@ -77,29 +77,6 @@ CURVE_KINDS: Registry = {
 }
 
 
-def _curve_orbit(ctx: FieldCtx, kind: str, a: Optional[int] = None) -> FrozenSet[Word]:
-    """The words of one curve-kind component (m = 3 only)."""
-    _require_plane(ctx)
-    return kind_component(ctx, kind, a, CURVE_KINDS).words
-
-
-def build_gamma(ctx: FieldCtx, a: int) -> FrozenSet[Word]:
-    """Tuples (c, c x^(q+1), c x^q) over nonzero c and x in the norm fiber
-    of a; size (q^3 - 1)^2 / (q - 1)."""
-    return _curve_orbit(ctx, "GAMMA", a)
-
-
-def build_Z(ctx: FieldCtx, b: int) -> FrozenSet[Word]:
-    """Tuples (c x, -c beta x^q, 0) with beta the first norm-fiber element
-    over b; size (q^3 - 1)^2 / (q - 1)."""
-    return _curve_orbit(ctx, "Z", b)
-
-
-def build_axis_mid(ctx: FieldCtx) -> FrozenSet[Word]:
-    """A2': the tuples (0, x, 0)."""
-    return _curve_orbit(ctx, "A2P")
-
-
 def build_cmp_family(ctx: FieldCtx, I: Sequence[int]) -> RankCode:
     """The curve-model family: GAMMA(a) for a in I, Z(b) for the remaining
     nonzero b, A1, A2P (the A2' axis) and zero; q^6 tuples in total."""
@@ -120,16 +97,42 @@ def theta(ctx: FieldCtx, v: Sequence[int]) -> Tuple[int, int, int]:
 _THETA_KIND = {"GAMMA": "PI", "Z": "J", "A1": "A2", "A2P": "A1", "ZERO": "ZERO"}
 
 
+def theta_partner(ctx: FieldCtx, kind: str, a: Optional[int]) -> Tuple[str, Optional[int]]:
+    """The Dickson-model (kind, parameter) onto which theta carries the
+    curve component (kind, a): gamma(a) -> pi(1/a), Z(b) -> J(1/b),
+    A1 <-> A2'."""
+    return _THETA_KIND[kind], (ctx.inv(a) if a is not None else None)
+
+
 def theta_image_code(ctx: FieldCtx, fam: RankCode) -> RankCode:
-    """Apply theta tuplewise and retag: gamma(a) -> pi(1/a), Z(b) -> J(1/b),
-    A1 <-> A2'.  The components carry no orbit representatives: whether
-    they are orbits is what the comparison with the family decides."""
-    comps = []
-    for c in fam.components:
-        a = ctx.inv(c.a) if c.a is not None else None
-        comps.append(Component(_THETA_KIND[c.kind], a,
-                               frozenset(theta(ctx, w) for w in c.words)))
+    """Apply theta tuplewise and retag each component with its
+    `theta_partner`.  The components carry no orbit representatives:
+    whether they are orbits is what the comparison with the family decides."""
+    comps = [Component(*theta_partner(ctx, c.kind, c.a),
+                       frozenset(theta(ctx, w) for w in c.words))
+             for c in fam.components]
     return RankCode.assemble(ctx, 2, comps)
+
+
+class Orbits(dict):
+    """The curve- and Dickson-model components of one command by (kind, a),
+    each built once: `keep` files those of a family built before any lookup,
+    and a lookup of another builds it from its model's registry (A1 and ZERO
+    are one orbit in both)."""
+
+    def __init__(self, ctx: FieldCtx):
+        _require_plane(ctx)
+        super().__init__()
+        self.ctx = ctx
+
+    def __missing__(self, key: Tuple[str, Optional[int]]) -> Component:
+        kinds = CURVE_KINDS if key[0] in CURVE_KINDS else KINDS
+        comp = self[key] = kind_component(self.ctx, *key, kinds)
+        return comp
+
+    def keep(self, code: RankCode) -> RankCode:
+        self.update(((c.kind, c.a), c) for c in code.components)
+        return code
 
 
 @dataclass(frozen=True)
@@ -145,15 +148,16 @@ class FamilyMatchReport(Report):
         return self.set_equal and all(self.component_matches.values()) and self.mrd.mrd
 
 
-def verify_family_match(ctx: FieldCtx, I: Sequence[int], threads: int = 1) -> FamilyMatchReport:
+def verify_family_match(orbits: Orbits, I: Sequence[int], threads: int = 1) -> FamilyMatchReport:
     """theta maps the curve family with parameter set I onto the
     Dickson-model family with parameter set I^-1, component by component;
     that family is verified as a maximal distance-2 code in orbit mode."""
-    fam = build_cmp_family(ctx, I)
+    ctx = orbits.ctx
+    fam = orbits.keep(build_cmp_family(ctx, I))
     image = theta_image_code(ctx, fam)
     fam_I = [c.a for c in fam.components if c.kind == "GAMMA"]
     inv_I = sorted((ctx.inv(a) for a in fam_I), key=ctx.fq_index)
-    target = build_family(ctx, inv_I)
+    target = orbits.keep(build_family(ctx, inv_I))
     by_tag_img = {c.tag(ctx): c.words for c in image.components}
     by_tag_tgt = {c.tag(ctx): c.words for c in target.components}
     matches = {
@@ -168,6 +172,25 @@ def verify_family_match(ctx: FieldCtx, I: Sequence[int], threads: int = 1) -> Fa
         set_equal=image.words == target.words,
         mrd=report,
     )
+
+
+def verify_component_maps(orbits: Orbits) -> Dict[str, dict]:
+    """For every nonzero a in F_q: whether theta carries gamma(a) onto
+    pi(1/a) and Z(a) onto J(1/a), with the size of gamma(a)."""
+    ctx = orbits.ctx
+
+    def maps(kind: str, a: int) -> bool:
+        image = frozenset(theta(ctx, w) for w in orbits[kind, a].words)
+        return image == orbits[theta_partner(ctx, kind, a)].words
+
+    return {
+        fq_label(ctx, a): {
+            "size": len(orbits["GAMMA", a].words),
+            "gamma_to_pi": maps("GAMMA", a),
+            "z_to_j": maps("Z", a),
+        }
+        for a in ctx.fq_elems[1:]
+    }
 
 
 # ----------------------------------------------------------------------
@@ -217,25 +240,24 @@ class CurveSplashReport(Report):
         )
 
 
-def verify_curve_splash(ctx: FieldCtx, a: int) -> CurveSplashReport:
+def verify_curve_splash(orbits: Orbits, a: int) -> CurveSplashReport:
     """Brute-force the exterior splash of the gamma(a) image on the line
     X3 = 0 and compare it with the norm fiber of -a^2 and with the Z(a)
     image; also check theta carries it onto the splash of the pi(1/a)
     image on the line X2 = 0."""
-    _require_plane(ctx)
+    ctx = orbits.ctx
     u_line = line_through(ctx, (1, 0, 0), (0, 1, 0))
-    gamma_img = proj_image(ctx, build_gamma(ctx, a))
+    gamma_img = proj_image(ctx, orbits["GAMMA", a].words)
     splash = exterior_splash(ctx, gamma_img, u_line)
 
     target = ctx.neg(ctx.mul(a, a))
     fiber_pts = norm_fiber_points_on_u(ctx, target)
-    z_img = proj_image(ctx, build_Z(ctx, a))
+    z_img = proj_image(ctx, orbits["Z", a].words)
 
     # theta side: splash of [pi(1/a)] on the theta-image of the line X3 = 0,
     # which is the line through (1,0,0) and (0,0,1)
-    inv_a = ctx.inv(a)
     w_line = line_through(ctx, (1, 0, 0), (0, 0, 1))
-    pi_img = proj_image(ctx, build_pi(ctx, inv_a))
+    pi_img = proj_image(ctx, orbits[theta_partner(ctx, "GAMMA", a)].words)
     pi_splash = exterior_splash(ctx, pi_img, w_line)
     mapped = frozenset(proj_normalize(ctx, theta(ctx, p)) for p in splash)
     return CurveSplashReport(

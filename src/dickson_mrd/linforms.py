@@ -19,7 +19,7 @@ Words are plain tuples of element ints; all functions are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 from .gfield import FieldCtx
 from .linalg import fq_nullspace, fq_rank, mat_mul
@@ -221,20 +221,3 @@ def apply_aut(ctx: FieldCtx, e: AutElt, w: Word) -> Word:
     if e.transpose:
         w = dickson_transpose(ctx, w)
     return compose(ctx, compose(ctx, dickson_transpose(ctx, e.d1), w), e.d2)
-
-
-def singer_orbit(ctx: FieldCtx, w: Word) -> Set[Word]:
-    """Orbit of w under the pair of diagonal Singer cycles:
-    w -> (c * a_0 * x, c * a_1 * x^q, ..., c * a_{m-1} * x^(q^(m-1)))
-    over all nonzero c, x."""
-    m = ctx.m
-    mul, frob = ctx.mul, ctx.frobenius
-    out: Set[Word] = set()
-    if w == zero_word(ctx):
-        return {w}
-    for x in ctx.nonzero():
-        base = tuple(mul(w[k], frob(x, k)) for k in range(m))
-        for c in ctx.nonzero():
-            out.add(tuple(mul(c, a) for a in base))
-    return out
-

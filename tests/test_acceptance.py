@@ -242,15 +242,16 @@ def test_criterion_8_curve_family_suite(f27, f64, f125):
         ("q4", f64, [om]),
         ("q5", f125, [2, 3]),
     ):
-        checks[f"{label}_family_match"] = cf.verify_family_match(ctx, I).ok
+        orbits = cf.Orbits(ctx)
+        checks[f"{label}_family_match"] = cf.verify_family_match(orbits, I).ok
         maps_ok = True
         for a in ctx.fq_elems[1:]:
             inv_a = ctx.inv(a)
             maps_ok &= frozenset(
-                cf.theta(ctx, w) for w in cf.build_gamma(ctx, a)
+                cf.theta(ctx, w) for w in orbits["GAMMA", a].words
             ) == cd.build_pi(ctx, inv_a)
             maps_ok &= frozenset(
-                cf.theta(ctx, w) for w in cf.build_Z(ctx, a)
+                cf.theta(ctx, w) for w in orbits["Z", a].words
             ) == cd.build_J(ctx, inv_a)
         checks[f"{label}_component_maps"] = maps_ok
     w_line = ge.line_through(f27, (1, 0, 0), (0, 0, 1))
@@ -258,7 +259,7 @@ def test_criterion_8_curve_family_suite(f27, f64, f125):
         f27, ge.proj_image(f27, cd.build_pi(f27, 2)), w_line
     )
     checks["pi2_splash_is_j1"] = splash == ge.proj_image(f27, cd.build_J(f27, 1))
-    erratum = cf.verify_curve_splash(f27, 2)
+    erratum = cf.verify_curve_splash(cf.Orbits(f27), 2)
     checks["erratum_norm_fiber_2"] = (
         erratum.splash_is_norm_fiber and erratum.expected_norm_value == "2"
     )

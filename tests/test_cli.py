@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from dickson_mrd import cli, codefile
+from dickson_mrd import cmp_family as cf
 from dickson_mrd import codes as cd
 from dickson_mrd.cli import main, parse_fq_element, parse_set
 from dickson_mrd.gfield import find_primitive_modulus
@@ -464,6 +465,38 @@ def test_geometry_builds_the_family_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "geometry", "--p", "3", "--m", "3", "--set", "2",
                      "--sample", "10", "--points")
     assert code == 0 and len(built) == 1
+
+
+def test_geometry_reports_the_parameter_set_of_the_built_family(capsys):
+    code, text, _ = run(capsys, "geometry", "--p", "5", "--m", "3", "--set", "2,3,2",
+                        "--sample", "5")
+    assert code == 0
+    # one PI component per parameter, in subfield order: 3 = g^31, 2 = g^93
+    assert json.loads(text)["I"] == ["3", "2"]
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["cmp", "--p", "5", "--set", "2,3"], 22),
+    (["cmp", "--p", "2", "--h", "2", "--set", "g21"], 18),
+    (["splash", "--p", "5", "--a", "4"], 4),  # 4 = 1/4 in F_5: pi(a) is pi(1/a)
+])
+def test_cmp_and_splash_build_each_component_once(capsys, monkeypatch, argv, builds):
+    # one build per orbit of each registry, at every nonzero parameter for cmp
+    kind_component = cd.kind_component
+    built = []
+    for module in (cd, cf):
+        monkeypatch.setattr(module, "kind_component",
+                            lambda *a: built.append(a) or kind_component(*a))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(built) == builds
+
+
+@pytest.mark.parametrize("command", [["cmp", "--set", "7"], ["splash", "--a", "12"],
+                                     ["splash", "--a", "-3"]])
+def test_a_residue_outside_the_prime_field_exits_two(capsys, command):
+    code, text, err = run(capsys, *command, "--p", "5")
+    assert (code, text) == (2, "")
+    assert err.splitlines() == ["error: residues must lie in 0..4"]
 
 
 def test_geometry_rejects_an_empty_set(capsys, recwarn):

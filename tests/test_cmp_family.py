@@ -7,13 +7,17 @@ from dickson_mrd import codes as cd
 from dickson_mrd import geometry as ge
 
 
+def curve_words(ctx, kind, a=None):
+    return cf.Orbits(ctx)[kind, a].words
+
+
 # ----------------------------------------------------------------------
 # components
 # ----------------------------------------------------------------------
 
 def test_gamma_sizes_and_disjointness(f27):
-    g1 = cf.build_gamma(f27, 1)
-    g2 = cf.build_gamma(f27, 2)
+    g1 = curve_words(f27, "GAMMA", 1)
+    g2 = curve_words(f27, "GAMMA", 2)
     assert len(g1) == 338 and len(g2) == 338
     assert not (g1 & g2)
 
@@ -30,11 +34,11 @@ def test_gamma_reparametrized_form(f27):
                 f27.mul(f27.mul(lam, f27.pow(alpha, q + 1)), f27.frobenius(x, 1)),
                 f27.mul(f27.mul(lam, f27.frobenius(alpha, 1)), f27.frobenius(x, 2)),
             ))
-    assert rebuilt == set(cf.build_gamma(f27, 2))
+    assert rebuilt == set(curve_words(f27, "GAMMA", 2))
 
 
 def test_z_component(f27):
-    z2 = cf.build_Z(f27, 2)
+    z2 = curve_words(f27, "Z", 2)
     assert len(z2) == 338
     assert all(w[2] == 0 for w in z2)
     img = ge.proj_image(f27, z2)
@@ -43,11 +47,11 @@ def test_z_component(f27):
 
 
 def test_component_parameter_validation(f27, f81):
-    for fn in (cf.build_gamma, cf.build_Z):
+    for kind in ("GAMMA", "Z"):
         with pytest.raises(ValueError):
-            fn(f27, 0)
+            curve_words(f27, kind, 0)
         with pytest.raises(ValueError, match="m = 3"):
-            fn(f81, 2)
+            curve_words(f81, kind, 2)
 
 
 # ----------------------------------------------------------------------
@@ -55,9 +59,9 @@ def test_component_parameter_validation(f27, f81):
 # ----------------------------------------------------------------------
 
 def test_curve_is_the_union_of_components(f27):
-    union = set(cd.build_axis(f27, 1)) | set(cf.build_axis_mid(f27))
+    union = set(cd.build_axis(f27, 1)) | set(curve_words(f27, "A2P"))
     for a in f27.fq_elems[1:]:
-        union |= cf.build_gamma(f27, a)
+        union |= curve_words(f27, "GAMMA", a)
     img = ge.proj_image(f27, union)
     assert all(cf.curve_equation_holds(f27, p) for p in img)
     assert img == cf.curve_points(f27)
@@ -135,15 +139,15 @@ def test_theta_maps_components_for_every_parameter(fixture, request):
     ctx = request.getfixturevalue(fixture)
     for a in ctx.fq_elems[1:]:
         inv_a = ctx.inv(a)
-        mapped_gamma = frozenset(cf.theta(ctx, w) for w in cf.build_gamma(ctx, a))
+        mapped_gamma = frozenset(cf.theta(ctx, w) for w in curve_words(ctx, "GAMMA", a))
         assert mapped_gamma == cd.build_pi(ctx, inv_a)
-        mapped_z = frozenset(cf.theta(ctx, w) for w in cf.build_Z(ctx, a))
+        mapped_z = frozenset(cf.theta(ctx, w) for w in curve_words(ctx, "Z", a))
         assert mapped_z == cd.build_J(ctx, inv_a)
 
 
 def test_theta_swaps_the_axes(f27):
     a1 = cd.build_axis(f27, 1)
-    a2p = cf.build_axis_mid(f27)
+    a2p = curve_words(f27, "A2P")
     assert frozenset(cf.theta(f27, w) for w in a1) == cd.build_axis(f27, 2)
     assert frozenset(cf.theta(f27, w) for w in a2p) == cd.build_axis(f27, 1)
 
@@ -153,7 +157,7 @@ def test_theta_swaps_the_axes(f27):
 # ----------------------------------------------------------------------
 
 def test_family_match_q3(f27):
-    rep = cf.verify_family_match(f27, [2])
+    rep = cf.verify_family_match(cf.Orbits(f27), [2])
     assert rep.ok
     assert rep.set_equal
     assert rep.inverse_I == ("2",)
@@ -163,14 +167,14 @@ def test_family_match_q3(f27):
 
 def test_family_match_q4(f64):
     om = f64.fq_elems[2]
-    rep = cf.verify_family_match(f64, [om])
+    rep = cf.verify_family_match(cf.Orbits(f64), [om])
     assert rep.ok
     # inverse of omega is omega^2
     assert rep.inverse_I == (f"g{f64.log[f64.fq_elems[3]]}",)
 
 
 def test_family_match_q5_inverse_pair(f125):
-    rep = cf.verify_family_match(f125, [2, 3])
+    rep = cf.verify_family_match(cf.Orbits(f125), [2, 3])
     assert rep.ok
     # 2 * 3 = 6 = 1 mod 5, so the set {2, 3} is its own inverse set
     assert sorted(rep.inverse_I) == sorted(rep.I)
@@ -181,7 +185,7 @@ def test_family_match_q5_inverse_pair(f125):
 # ----------------------------------------------------------------------
 
 def test_curve_splash_differs_from_z_at_two(f27):
-    rep = cf.verify_curve_splash(f27, 2)
+    rep = cf.verify_curve_splash(cf.Orbits(f27), 2)
     assert rep.ok
     assert rep.splash_size == 13
     # -a^2 = -4 = 2, while the Z norm value is -a = 1: the sets differ
@@ -194,16 +198,16 @@ def test_curve_splash_differs_from_z_at_two(f27):
 def test_curve_splash_sets_are_disjoint_at_two(f27):
     u_line = ge.line_through(f27, (1, 0, 0), (0, 1, 0))
     splash = ge.exterior_splash(
-        f27, ge.proj_image(f27, cf.build_gamma(f27, 2)), u_line
+        f27, ge.proj_image(f27, curve_words(f27, "GAMMA", 2)), u_line
     )
-    z_img = ge.proj_image(f27, cf.build_Z(f27, 2))
+    z_img = ge.proj_image(f27, curve_words(f27, "Z", 2))
     assert splash == cf.norm_fiber_points_on_u(f27, 2)
     assert z_img == cf.norm_fiber_points_on_u(f27, 1)
     assert not (splash & z_img)
 
 
 def test_curve_splash_at_one_is_reported_not_assumed(f27):
-    rep = cf.verify_curve_splash(f27, 1)
+    rep = cf.verify_curve_splash(cf.Orbits(f27), 1)
     assert rep.ok
     # at a = 1 the two norm values coincide over F_3, and the report
     # records the computed equality
@@ -213,13 +217,13 @@ def test_curve_splash_at_one_is_reported_not_assumed(f27):
 
 def test_curve_splash_q4(f64):
     for a in f64.fq_elems[1:]:
-        rep = cf.verify_curve_splash(f64, a)
+        rep = cf.verify_curve_splash(cf.Orbits(f64), a)
         assert rep.ok
         assert rep.equals_z_image == (a == 1)
 
 
 def test_curve_splash_validation(f27, f81):
     with pytest.raises(ValueError):
-        cf.verify_curve_splash(f27, 0)
+        cf.verify_curve_splash(cf.Orbits(f27), 0)
     with pytest.raises(ValueError, match="m = 3"):
-        cf.verify_curve_splash(f81, 2)
+        cf.verify_curve_splash(cf.Orbits(f81), 2)
