@@ -216,9 +216,7 @@ def cmd_splash(args) -> int:
     ctx = _field(args)
     a = parse_fq_element(ctx, args.a)
     orbits = cf.Orbits(ctx)
-    w_line = ge.line_through(ctx, (1, 0, 0), (0, 0, 1))
-    pi_img = ge.proj_image(ctx, orbits["PI", a].words)
-    splash = ge.exterior_splash(ctx, pi_img, w_line)
+    splash = orbits.splashes[orbits["PI", a]]
     b = ctx.pow(a, ctx.m - 1)
     j_img = ge.proj_image(ctx, orbits["J", b].words)
     curve = cf.verify_curve_splash(orbits, a)

@@ -17,7 +17,8 @@ with parameter set I is exactly the Dickson-model family with parameter set
 I^-1.  `verify_family_match` checks that as plain set equality and runs the
 maximality verification on the registry-built Dickson-model family, whose
 components carry checked orbit representatives.  `verify_component_maps`
-checks the map of every gamma and Z component, each built once in `Orbits`.
+checks the map of every gamma and Z component.  `Orbits` holds the
+components, theta-images and splashes of one command, each computed once.
 
 `verify_curve_splash` recomputes by brute force the exterior splash of a
 gamma component on the line X3 = 0: it equals the norm fiber of -a^2, not
@@ -33,6 +34,7 @@ from .gfield import FieldCtx
 from .codes import (
     KINDS,
     Component,
+    Memo,
     MrdReport,
     RankCode,
     Registry,
@@ -104,31 +106,39 @@ def theta_partner(ctx: FieldCtx, kind: str, a: Optional[int]) -> Tuple[str, Opti
     return _THETA_KIND[kind], (ctx.inv(a) if a is not None else None)
 
 
-def theta_image_code(ctx: FieldCtx, fam: RankCode) -> RankCode:
-    """Apply theta tuplewise and retag each component with its
-    `theta_partner`.  The components carry no orbit representatives:
-    whether they are orbits is what the comparison with the family decides."""
-    comps = [Component(*theta_partner(ctx, c.kind, c.a),
-                       frozenset(theta(ctx, w) for w in c.words))
-             for c in fam.components]
-    return RankCode.assemble(ctx, 2, comps)
+# The line each model splashes on, by two of its points: X3 = 0 for gamma,
+# and its theta-image X2 = 0 for pi.
+_SPLASH_LINE = {"GAMMA": ((1, 0, 0), (0, 1, 0)), "PI": ((1, 0, 0), (0, 0, 1))}
 
 
-class Orbits(dict):
+class Orbits(Memo):
     """The curve- and Dickson-model components of one command by (kind, a),
     each built once: `keep` files those of a family built before any lookup,
     and a lookup of another builds it from its model's registry (A1 and ZERO
-    are one orbit in both)."""
+    are one orbit in both).  `image` gives the theta-image of a curve
+    component and `splashes` the exterior splash of a gamma or pi component
+    on its `_SPLASH_LINE`, each computed once and kept under the component:
+    a memo that looked components up in the store would make the store a
+    reference cycle, which outlives its command."""
 
     def __init__(self, ctx: FieldCtx):
         _require_plane(ctx)
-        super().__init__()
+        super().__init__(lambda key: kind_component(
+            ctx, *key, CURVE_KINDS if key[0] in CURVE_KINDS else KINDS))
         self.ctx = ctx
+        self._images: Dict[Component, FrozenSet[Word]] = {}
+        self.splashes = Memo(lambda c: exterior_splash(
+            ctx, proj_image(ctx, c.words), line_through(ctx, *_SPLASH_LINE[c.kind])))
 
-    def __missing__(self, key: Tuple[str, Optional[int]]) -> Component:
-        kinds = CURVE_KINDS if key[0] in CURVE_KINDS else KINDS
-        comp = self[key] = kind_component(self.ctx, *key, kinds)
-        return comp
+    def image(self, c: Component) -> FrozenSet[Word]:
+        """The theta-image of the curve component c.  An image equal to the
+        words of its `theta_partner` is held as those words, so the store
+        keeps no second copy of an orbit."""
+        if c not in self._images:
+            image = frozenset(theta(self.ctx, w) for w in c.words)
+            partner = self[theta_partner(self.ctx, c.kind, c.a)].words
+            self._images[c] = partner if image == partner else image
+        return self._images[c]
 
     def keep(self, code: RankCode) -> RankCode:
         self.update(((c.kind, c.a), c) for c in code.components)
@@ -154,11 +164,12 @@ def verify_family_match(orbits: Orbits, I: Sequence[int], threads: int = 1) -> F
     that family is verified as a maximal distance-2 code in orbit mode."""
     ctx = orbits.ctx
     fam = orbits.keep(build_cmp_family(ctx, I))
-    image = theta_image_code(ctx, fam)
     fam_I = [c.a for c in fam.components if c.kind == "GAMMA"]
     inv_I = sorted((ctx.inv(a) for a in fam_I), key=ctx.fq_index)
     target = orbits.keep(build_family(ctx, inv_I))
-    by_tag_img = {c.tag(ctx): c.words for c in image.components}
+    image = [Component(*theta_partner(ctx, c.kind, c.a), orbits.image(c))
+             for c in fam.components]
+    by_tag_img = {c.tag(ctx): c.words for c in image}
     by_tag_tgt = {c.tag(ctx): c.words for c in target.components}
     matches = {
         tag: by_tag_img.get(tag) == by_tag_tgt.get(tag)
@@ -169,7 +180,7 @@ def verify_family_match(orbits: Orbits, I: Sequence[int], threads: int = 1) -> F
         I=tuple(fq_label(ctx, a) for a in fam_I),
         inverse_I=tuple(fq_label(ctx, a) for a in inv_I),
         component_matches=matches,
-        set_equal=image.words == target.words,
+        set_equal=frozenset().union(*by_tag_img.values()) == target.words,
         mrd=report,
     )
 
@@ -180,8 +191,7 @@ def verify_component_maps(orbits: Orbits) -> Dict[str, dict]:
     ctx = orbits.ctx
 
     def maps(kind: str, a: int) -> bool:
-        image = frozenset(theta(ctx, w) for w in orbits[kind, a].words)
-        return image == orbits[theta_partner(ctx, kind, a)].words
+        return orbits.image(orbits[kind, a]) == orbits[theta_partner(ctx, kind, a)].words
 
     return {
         fq_label(ctx, a): {
@@ -244,21 +254,14 @@ def verify_curve_splash(orbits: Orbits, a: int) -> CurveSplashReport:
     """Brute-force the exterior splash of the gamma(a) image on the line
     X3 = 0 and compare it with the norm fiber of -a^2 and with the Z(a)
     image; also check theta carries it onto the splash of the pi(1/a)
-    image on the line X2 = 0."""
+    image on the line X2 = 0, the theta-image of X3 = 0."""
     ctx = orbits.ctx
-    u_line = line_through(ctx, (1, 0, 0), (0, 1, 0))
-    gamma_img = proj_image(ctx, orbits["GAMMA", a].words)
-    splash = exterior_splash(ctx, gamma_img, u_line)
+    splash = orbits.splashes[orbits["GAMMA", a]]
 
     target = ctx.neg(ctx.mul(a, a))
     fiber_pts = norm_fiber_points_on_u(ctx, target)
     z_img = proj_image(ctx, orbits["Z", a].words)
-
-    # theta side: splash of [pi(1/a)] on the theta-image of the line X3 = 0,
-    # which is the line through (1,0,0) and (0,0,1)
-    w_line = line_through(ctx, (1, 0, 0), (0, 0, 1))
-    pi_img = proj_image(ctx, orbits[theta_partner(ctx, "GAMMA", a)].words)
-    pi_splash = exterior_splash(ctx, pi_img, w_line)
+    pi_splash = orbits.splashes[orbits[theta_partner(ctx, "GAMMA", a)]]
     mapped = frozenset(proj_normalize(ctx, theta(ctx, p)) for p in splash)
     return CurveSplashReport(
         parameter=a,

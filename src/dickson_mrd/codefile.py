@@ -19,10 +19,10 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from .gfield import FieldCtx, make_field
-from .codes import Component, RankCode, checked_orbit_rep, disjoint_union
+from .codes import Component, Memo, RankCode, checked_orbit_rep, disjoint_union
 from .linforms import Word
 
 CODE_FORMAT = "rank-code/v1"
@@ -85,18 +85,6 @@ def word_to_lists(ctx: FieldCtx, w: Word) -> List[List[int]]:
     return [element_to_list(ctx, x) for x in w]
 
 
-class _Memo(dict):
-    """fn(key), computed on the first lookup of each key."""
-
-    def __init__(self, fn: Callable):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def _element(ctx: FieldCtx, cs: list, key: str) -> int:
     """element_from_list, with the file key in its error."""
     try:
@@ -105,7 +93,7 @@ def _element(ctx: FieldCtx, cs: list, key: str) -> int:
         raise ValueError(f"key {key!r}: {exc}") from None
 
 
-def _words_from_lists(ctx: FieldCtx, ws: list, elements: _Memo) -> frozenset:
+def _words_from_lists(ctx: FieldCtx, ws: list, elements: Memo) -> frozenset:
     """The words of a component's "words" list.  Types are checked in C-level
     passes before any lookup, since True and 1.0 hash like 1; `elements`
     maps a coefficient tuple to its element and checks length and range."""
@@ -174,7 +162,7 @@ def code_from_dict(d: dict) -> RankCode:
     claimed = _require(_require(d, "params", dict), "claimed_distance", int)
     if not 1 <= claimed <= ctx.m:
         raise ValueError(f"key 'claimed_distance' must lie in 1..{ctx.m}")
-    elements = _Memo(lambda cs: _element(ctx, list(cs), "words"))
+    elements = Memo(lambda cs: _element(ctx, list(cs), "words"))
     comps = []
     for cd in _require(d, "components", list):
         if type(cd) is not dict:
@@ -201,7 +189,7 @@ def _element_text(ctx: FieldCtx, x: int) -> str:
 def save_code(path: Union[str, Path], code: RankCode) -> None:
     """Write `dumps_canonical(code_to_dict(code))`, one word at a time."""
     head, *tails = dumps_canonical(_skeleton(code)).split(_NO_WORDS)
-    text = _Memo(lambda x: _element_text(code.ctx, x)).__getitem__
+    text = Memo(lambda x: _element_text(code.ctx, x)).__getitem__
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head)
         for comp, tail in zip(code.components, tails):

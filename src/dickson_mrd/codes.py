@@ -140,6 +140,18 @@ class RankCode:
         return RankCode.assemble(ctx, claimed_distance, comps)
 
 
+class Memo(dict):
+    """fn(key), computed on the first lookup of each key."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def disjoint_union(sets: Iterable[FrozenSet]) -> Tuple[bool, set]:
     """(whether the sets are pairwise disjoint, their union), in one pass:
     they are disjoint exactly when the union is as large as their sizes' sum."""

@@ -346,32 +346,25 @@ def hyperregulus(ctx: FieldCtx, component: Component) -> HyperregulusReport:
     N(y) = (-1)^m * a, which for a = 1 is the classical norm-surface
     condition.  `covers_component` compares the members' union with the
     union of the lines through (1, 0, ..., 0, y) over that whole fiber.
+    Each spread line is built once, for the members and the fiber together.
     """
     a = component.a
     groups = line_classes(ctx, component.words)
     members = tuple(groups.values())
-    line_ok = all(
-        member == spread_element_points(ctx, rep) for rep, member in groups.items()
-    )
-    disjoint, union = disjoint_union(members)
     target = ctx.neg(a) if ctx.m % 2 else a
     axis = (1,) + (0,) * (ctx.m - 2)
-    fiber_lines = frozenset().union(
-        *(spread_element_points(ctx, axis + (y,)) for y in ctx.norm_fiber(target)))
-    norm_ok = all(
-        rep[0] == 1
-        and not any(rep[1:-1])
-        and ctx.norm(rep[-1]) == target
-        for rep in groups
-    )
+    fiber = {axis + (y,) for y in ctx.norm_fiber(target)}
+    lines = {rep: spread_element_points(ctx, rep) for rep in fiber | set(groups)}
+    line_ok = all(member == lines[rep] for rep, member in groups.items())
+    disjoint, union = disjoint_union(members)
     return HyperregulusReport(
         parameter=a,
         members=members,
         expected_members=ctx.subfield_index,
         members_are_line_classes=line_ok,
         pairwise_disjoint=disjoint,
-        covers_component=(union == fiber_lines),
-        norm_condition_ok=norm_ok,
+        covers_component=(union == frozenset().union(*(lines[rep] for rep in fiber))),
+        norm_condition_ok=set(groups) <= fiber,
     )
 
 
@@ -487,10 +480,11 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
 
     # the two axis components are single spread elements
     axis_ok = True
-    for w in (c.orbit_rep for c in code.components if c.kind in ("A1", "A2")):
-        pts = spread_element_points(ctx, w)
-        axis_ok &= spread[proj_normalize(ctx, w)] == pts
-        used_elements.append(pts)
+    for c in code.components:
+        if c.kind in ("A1", "A2"):
+            pts = fq_classes(ctx, c.words)
+            axis_ok &= spread[proj_normalize(ctx, c.orbit_rep)] == pts
+            used_elements.append(pts)
 
     # pi components are Segre varieties: tau-images of the standard one
     base_segre = segre_word_classes(ctx)

@@ -448,11 +448,15 @@ class FieldCtx:
         return tuple(out)
 
     def from_coeffs(self, cs: Sequence[int]) -> int:
+        """The element with little-endian F_p coefficients cs, each an int in
+        0..p-1: nothing is reduced mod p."""
         if len(cs) != self.degree:
             raise ValueError(f"expected {self.degree} coefficients, got {len(cs)}")
         acc = 0
         for c in reversed(cs):
-            acc = acc * self.p + int(c) % self.p
+            if type(c) is not int or not 0 <= c < self.p:
+                raise ValueError(f"coefficients must be integers in 0..{self.p - 1}")
+            acc = acc * self.p + c
         return acc
 
     def describe(self) -> dict:

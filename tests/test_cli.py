@@ -8,6 +8,7 @@ import pytest
 from dickson_mrd import cli, codefile
 from dickson_mrd import cmp_family as cf
 from dickson_mrd import codes as cd
+from dickson_mrd import geometry as ge
 from dickson_mrd.cli import main, parse_fq_element, parse_set
 from dickson_mrd.gfield import find_primitive_modulus
 from reference import ref_x_order
@@ -409,6 +410,12 @@ PINNED_OUTPUTS = [
      "68f8063f4d9033e6276aeece53acfd4af8536560007bc6dc6d685c91355ae7fc"),
     (["splash", "--p", "5", "--a", "2"],
      "b4bdbacac258b439eea3d24a9152839f2782c41486be9de998dc7eb29eea71d1"),
+    (["cmp", "--p", "5", "--set", "2,3"],
+     "594586404006f975e799e2eb8786dbdd8f17830a70b4bbf0d014d92c03332a9d"),
+    (["cmp", "--p", "2", "--h", "2", "--set", "g21"],
+     "efe126cd7328decfdc27725ce215fc5b3570484320349ab57c08c952df3fbfcb"),
+    (["splash", "--p", "5", "--a", "4"],  # a = 1/a
+     "84d322f37fa49b33afff7605d74f6d66c7e7f047ac6cc23de09cae88ff6d8a42"),
 ]
 
 
@@ -489,6 +496,41 @@ def test_cmp_and_splash_build_each_component_once(capsys, monkeypatch, argv, bui
                             lambda *a: built.append(a) or kind_component(*a))
     code, _, _ = run(capsys, *argv)
     assert code == 0 and len(built) == builds
+
+
+@pytest.mark.parametrize("argv, name, calls", [
+    (["cmp", "--p", "5", "--set", "2,3"], "theta", 31125),
+    (["cmp", "--p", "2", "--h", "2", "--set", "g21"], "theta", 8128),
+    (["splash", "--p", "5", "--a", "4"], "exterior_splash", 2),
+    (["geometry", "--p", "5", "--m", "3", "--set", "2", "--sample", "10"],
+     "spread_element_points", 93),
+    (["geometry", "--p", "3", "--m", "3", "--set", "2", "--sample", "10"],
+     "spread_element_points", 770),
+])
+def test_each_theta_image_splash_and_spread_line_is_derived_once(capsys, monkeypatch,
+                                                                 argv, name, calls):
+    # cmp maps each curve word once and theta carries 31 (resp. 21) splash
+    # points per a; splash at a = 1/a splashes pi(a) once; geometry builds
+    # each spread line once: 93 hyperregulus lines at p = 5, and at p = 3
+    # the 757 lines of the full spread plus 13 hyperregulus lines
+    counted = []
+    for module in (cf, ge):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name):
+                                counted.append(a) or f(*a))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(counted) == calls
+
+
+def test_cmp_exits_one_when_theta_sends_a_word_outside_the_family(capsys, monkeypatch, f27):
+    # (1, 1, 1) lies in pi(1), outside the Dickson-model family of I^-1 = {2}
+    theta = cf.theta
+    w0 = min(cf.Orbits(f27)["GAMMA", 2].words)
+    monkeypatch.setattr(cf, "theta", lambda ctx, v: (1, 1, 1) if v == w0 else theta(ctx, v))
+    code, text, _ = run(capsys, "cmp", "--p", "3", "--set", "2")
+    assert code == 1
+    report = json.loads(text)
+    assert report["family_match"]["set_equal"] is False and report["ok"] is False
 
 
 @pytest.mark.parametrize("command", [["cmp", "--set", "7"], ["splash", "--a", "12"],

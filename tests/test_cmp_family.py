@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -178,6 +180,37 @@ def test_family_match_q5_inverse_pair(f125):
     assert rep.ok
     # 2 * 3 = 6 = 1 mod 5, so the set {2, 3} is its own inverse set
     assert sorted(rep.inverse_I) == sorted(rep.I)
+
+
+def test_family_match_sees_one_word_mapped_outside_the_family(f27, monkeypatch):
+    # (1, 1, 1) lies in pi(1), outside the Dickson-model family of I^-1 = {2}
+    theta = cf.theta
+    w0 = min(curve_words(f27, "GAMMA", 2))
+    assert (1, 1, 1) not in cd.build_family(f27, [2]).words
+    monkeypatch.setattr(cf, "theta", lambda ctx, v: (1, 1, 1) if v == w0 else theta(ctx, v))
+    rep = cf.verify_family_match(cf.Orbits(f27), [2])
+    assert rep.component_matches["PI(2)"] is False
+    assert all(ok for tag, ok in rep.component_matches.items() if tag != "PI(2)")
+    assert rep.set_equal is False and rep.ok is False
+
+
+def test_orbits_holds_no_second_copy_of_an_orbit_and_no_reference_cycle(f27):
+    # a matching theta-image is held as its partner's words, and the store
+    # is freed by reference counting alone
+    orbits = cf.Orbits(f27)
+    cf.verify_component_maps(orbits)
+    cf.verify_curve_splash(orbits, 2)
+    for a in f27.fq_elems[1:]:
+        for kind in ("GAMMA", "Z"):
+            partner = orbits[cf.theta_partner(f27, kind, a)].words
+            assert orbits.image(orbits[kind, a]) is partner
+    store = weakref.ref(orbits)
+    gc.disable()
+    try:
+        del orbits
+        assert store() is None
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------

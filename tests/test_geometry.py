@@ -336,6 +336,19 @@ def test_spread_decomposition_q3(f27):
     assert rep.segre_counts == {"PI(2)": 169}
 
 
+def test_spread_decomposition_axis_check_sees_a_missing_class(f27):
+    # drop one F_q-class (q - 1 words) from A1: its image is no spread element
+    fam = cd.build_family(f27, [2])
+    a1 = next(c for c in fam.components if c.kind == "A1")
+    w = max(a1.words)
+    cut = cd.Component("A1", None, a1.words - {lf.word_scale(f27, c, w) for c in f27.fq_elems[1:]},
+                       a1.orbit_rep)
+    assert len(a1.words) - len(cut.words) == f27.q - 1
+    code = cd.RankCode(f27, 2, tuple(cut if c is a1 else c for c in fam.components))
+    rep = ge.verify_spread_decomposition(code)
+    assert rep.axis_elements_ok is False and not rep.ok
+
+
 def test_spread_decomposition_bound(f64):
     with pytest.raises(ValueError, match="bound"):
         ge.verify_spread_decomposition(cd.build_family(f64, [f64.fq_elems[2]]))

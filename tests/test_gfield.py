@@ -254,6 +254,13 @@ def test_element_serialization_roundtrip(f64):
         assert f64.from_coeffs(cs) == x
 
 
+@pytest.mark.parametrize("cs", [[3, 0, 0], [-1, 0, 0], [2.7, 0, 0], [True, 0, 0]])
+def test_from_coeffs_rejects_a_coefficient_outside_the_prime_field(f27, cs):
+    # nothing is reduced mod p: 3, -1 and 2.7 are not residues 0, 2 and 2
+    with pytest.raises(ValueError, match=r"integers in 0\.\.2"):
+        f27.from_coeffs(cs)
+
+
 def test_element_ordering_is_zero_then_generator_powers(f27):
     els = list(f27.elements())
     assert els[0] == 0
