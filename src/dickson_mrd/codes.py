@@ -18,8 +18,12 @@ The registry `KINDS` holds one generator per kind and nothing else;
 `kind_component` derives the whole orbit from it (its twists by x, scaled
 to a leading 1, closed under scalars), and a loaded component is trusted as
 an orbit exactly when it equals the orbit its kind and parameter generate
-(`checked_orbit_rep`).  `build_family` is the one place a family is
-composed, from `KINDS` or from the curve-model registry of `cmp_family`.
+(`checked_orbit_rep`).  The scalar closure multiplies nothing: with
+n = q^m - 1 and exp2 = exp + exp, the multiples g^0 c, ..., g^(n-1) c of a
+coordinate c != 0 are the window exp2[log c : log c + n], so each row's
+multiples are its coordinates' windows zipped together (`_scaled_orbit`).
+`build_family` is the one place a family is composed, from `KINDS` or from
+the curve-model registry of `cmp_family`.
 
 A `RankCode` is its components: the scans, the loader and the reports read
 them, and the union `words` is built only on first use.  `disjoint_union`
@@ -224,9 +228,13 @@ def _base_rows(ctx: FieldCtx, w: Word) -> List[Word]:
 
 
 def _scaled_orbit(ctx: FieldCtx, rows: Sequence[Word]) -> FrozenSet[Word]:
-    """Close a family of base rows under nonzero scalar multiples."""
-    mul = ctx.mul
-    out = frozenset(tuple(mul(u, c) for c in base) for base in rows for u in ctx.exp)
+    """Close a family of base rows under nonzero scalar multiples, u = g^0,
+    g^1, ... in turn: u c runs over the window exp2[log c : log c + n]."""
+    n, log = ctx.mult_order, ctx.log
+    exp2 = ctx.exp + ctx.exp
+    multiples = (zip(*(itertools.islice(exp2, log[c], log[c] + n) if c
+                       else itertools.repeat(0, n) for c in base)) for base in rows)
+    out = frozenset(itertools.chain.from_iterable(multiples))
     if len(out) != len(rows) * ctx.mult_order:
         raise RuntimeError("unexpected collision while building component")
     return out

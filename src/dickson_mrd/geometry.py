@@ -57,6 +57,15 @@ def proj_image(ctx: FieldCtx, vectors: Iterable[Sequence[int]]) -> FrozenSet[Pro
     )
 
 
+def orbit_points(comp: Component) -> FrozenSet[ProjPoint]:
+    """`proj_image` of a single Singer-pair orbit, with no field arithmetic:
+    the orbit is closed under F_{q^m}* scalars, so its points are exactly
+    its words whose first nonzero coordinate is 1."""
+    if comp.orbit_rep is None:
+        raise ValueError(f"{comp.kind} component is not a single orbit")
+    return frozenset(w for w in comp.words if next(filter(None, w), 0) == 1)
+
+
 def line_through(ctx: FieldCtx, p: Sequence[int], q: Sequence[int]) -> FrozenSet[ProjPoint]:
     """All q^m + 1 points of the line spanned by two distinct points."""
     p = proj_normalize(ctx, p)

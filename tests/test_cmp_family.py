@@ -147,6 +147,22 @@ def test_theta_maps_components_for_every_parameter(fixture, request):
         assert mapped_z == cd.build_J(ctx, inv_a)
 
 
+@pytest.mark.parametrize("fixture", ["f27", "f64", "f125"])
+def test_orbit_points_equal_the_projective_image(fixture, request):
+    ctx = request.getfixturevalue(fixture)
+    orbits = cf.Orbits(ctx)
+    keys = [(kind, a) for kind in ("GAMMA", "Z", "PI", "J") for a in ctx.fq_elems[1:]]
+    for kind, a in keys + [("A1", None), ("A2", None), ("A2P", None), ("ZERO", None)]:
+        comp = orbits[kind, a]
+        assert ge.orbit_points(comp) == ge.proj_image(ctx, comp.words)
+
+
+def test_orbit_points_need_an_orbit(f27):
+    comp = cd.Component("OTHER", None, cd.build_pi(f27, 1))
+    with pytest.raises(ValueError, match="not a single orbit"):
+        ge.orbit_points(comp)
+
+
 def test_theta_swaps_the_axes(f27):
     a1 = cd.build_axis(f27, 1)
     a2p = curve_words(f27, "A2P")

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from dickson_mrd import linforms as lf
-from dickson_mrd.codes import KINDS, build_gabidulin, kind_component, min_distance
+from dickson_mrd.codes import KINDS, _scaled_orbit, build_gabidulin, kind_component, min_distance
 from dickson_mrd.gfield import make_field
 from dickson_mrd.linalg import fq_rank, mat_mul, mat_transpose
 from reference import decode, encode, ref_add, ref_mul, ref_neg, ref_pow
@@ -367,12 +367,18 @@ def singer_orbit(ctx, w):
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
-@pytest.mark.parametrize("fixture", ["f27", "f64", "f81"])
+@pytest.mark.parametrize("fixture", ["f27", "f64", "f81", "f125", "f256"])
 def test_singer_orbit_of_kind_generator(fixture, kind, request):
     ctx = request.getfixturevalue(fixture)
     for a in ctx.fq_elems[1:] if kind in ("PI", "J") else [None]:
         orbit = singer_orbit(ctx, KINDS[kind](ctx, a))
         assert orbit == set(kind_component(ctx, kind, a).words)
+
+
+def test_scaled_orbit_rejects_rows_in_one_scalar_class(f27):
+    row = KINDS["PI"](f27, 2)
+    with pytest.raises(RuntimeError, match="collision"):
+        _scaled_orbit(f27, [row, lf.word_scale(f27, f27.g, row)])
 
 
 def test_singer_orbit_of_zero_is_fixed(f27):
