@@ -128,7 +128,7 @@ class Orbits(Memo):
         self.ctx = ctx
         self._images: Dict[Component, FrozenSet[Word]] = {}
         self.splashes = Memo(lambda c: exterior_splash(
-            ctx, orbit_points(c), line_through(ctx, *_SPLASH_LINE[c.kind])))
+            ctx, orbit_points(ctx, c), line_through(ctx, *_SPLASH_LINE[c.kind])))
 
     def image(self, c: Component) -> FrozenSet[Word]:
         """The theta-image of the curve component c.  An image equal to the
@@ -260,7 +260,7 @@ def verify_curve_splash(orbits: Orbits, a: int) -> CurveSplashReport:
 
     target = ctx.neg(ctx.mul(a, a))
     fiber_pts = norm_fiber_points_on_u(ctx, target)
-    z_img = orbit_points(orbits["Z", a])
+    z_img = orbit_points(ctx, orbits["Z", a])
     pi_splash = orbits.splashes[orbits[theta_partner(ctx, "GAMMA", a)]]
     mapped = frozenset(proj_normalize(ctx, theta(ctx, p)) for p in splash)
     return CurveSplashReport(

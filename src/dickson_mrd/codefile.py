@@ -40,7 +40,10 @@ def write_json(path: Union[str, Path], obj) -> None:
 
 
 def read_json(path: Union[str, Path]):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,11 @@
 Two projective spaces appear:
 
 * PG(m-1, q^m): points are F_{q^m}-classes of nonzero m-tuples, normalized
-  so the first nonzero coordinate is 1 (`proj_normalize`).
+  so the first nonzero coordinate is 1 (`proj_normalize(ctx, v)`).
 * PG(m^2-1, q), in the cyclic model: the tensor square of V(m, q) is the set
   of q-circulant (Dickson) generator words, so its points are F_q-classes of
-  nonzero words (`fq_canonical` picks the lexicographically least scaling).
+  nonzero words.  F_q* = <g^s>, s = (q^m-1)/(q-1), so a class is named by its
+  member with leading coordinate g^j, 0 <= j < s (`proj_normalize(ctx, v, s)`).
 
 The two field reductions of an abstract vector v:
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from .codes import Component, RankCode, Report, build_pi, disjoint_union
+from .codes import Component, RankCode, Report, disjoint_union, kind_component
 from .gfield import FieldCtx
 from .linalg import fq_rank, mat_inv, mat_mul, mat_rank, mat_transpose, mat_vec
 from .linforms import Word, dickson, proj_normalize, word_scale
@@ -57,13 +58,14 @@ def proj_image(ctx: FieldCtx, vectors: Iterable[Sequence[int]]) -> FrozenSet[Pro
     )
 
 
-def orbit_points(comp: Component) -> FrozenSet[ProjPoint]:
-    """`proj_image` of a single Singer-pair orbit, with no field arithmetic:
-    the orbit is closed under F_{q^m}* scalars, so its points are exactly
-    its words whose first nonzero coordinate is 1."""
+def orbit_points(ctx: FieldCtx, comp: Component, index: int = 1) -> FrozenSet[Word]:
+    """The `proj_normalize(ctx, w, index)` points of a single Singer-pair
+    orbit, with no field arithmetic: the orbit is closed under F_{q^m}*
+    scalars, so they are exactly its words whose leading log is below index."""
     if comp.orbit_rep is None:
         raise ValueError(f"{comp.kind} component is not a single orbit")
-    return frozenset(w for w in comp.words if next(filter(None, w), 0) == 1)
+    log = ctx.log
+    return frozenset(w for w in comp.words if 0 <= log[next(filter(None, w), 0)] < index)
 
 
 def line_through(ctx: FieldCtx, p: Sequence[int], q: Sequence[int]) -> FrozenSet[ProjPoint]:
@@ -206,18 +208,6 @@ def verify_reduction_equivalence(ctx: FieldCtx,
 # points of PG(m^2-1, q) in the cyclic model
 # ----------------------------------------------------------------------
 
-def fq_canonical(ctx: FieldCtx, w: Word) -> Word:
-    """Canonical representative of the F_q-class of a nonzero word:
-    the least int tuple among its q-1 subfield scalings."""
-    if not any(w):
-        raise ValueError("zero word has no projective class")
-    return min(word_scale(ctx, c, w) for c in ctx.fq_elems[1:])
-
-
-def fq_classes(ctx: FieldCtx, words: Iterable[Word]) -> FrozenSet[Word]:
-    return frozenset(fq_canonical(ctx, w) for w in words if any(w))
-
-
 def word_fq_coords(ctx: FieldCtx, w: Word) -> Tuple[int, ...]:
     """Flattened F_q-coordinates of a word (concatenated per coordinate)."""
     out: List[int] = []
@@ -237,10 +227,10 @@ def proj_points_iter(ctx: FieldCtx) -> Iterable[ProjPoint]:
 
 
 def spread_element_points(ctx: FieldCtx, rep: Sequence[int]) -> FrozenSet[Word]:
-    """F_q-classes of the F_{q^m}-line through rep: one spread element."""
-    return frozenset(
-        fq_canonical(ctx, word_scale(ctx, lam, tuple(rep))) for lam in ctx.exp
-    )
+    """F_q-classes of the F_{q^m}-line through rep: one spread element, the
+    normal forms g^0 r, ..., g^(s-1) r of r = proj_normalize(ctx, rep)."""
+    r = proj_normalize(ctx, rep)
+    return frozenset(word_scale(ctx, x, r) for x in ctx.exp[:ctx.subfield_index])
 
 
 @dataclass(frozen=True)
@@ -309,7 +299,7 @@ def segre_word_classes(ctx: FieldCtx) -> FrozenSet[Word]:
     """The same Segre variety on the Dickson side: F_q-classes of the words
     (c x, c x^q, ..., c x^(q^(m-1))) over nonzero c, x, which form the
     Singer-pair orbit pi(1) of the generator (1, ..., 1)."""
-    return fq_classes(ctx, build_pi(ctx, 1))
+    return orbit_points(ctx, kind_component(ctx, "PI", 1), ctx.subfield_index)
 
 
 # ----------------------------------------------------------------------
@@ -340,9 +330,10 @@ class HyperregulusReport:
 def line_classes(ctx: FieldCtx, words: Iterable[Word]) -> Dict[ProjPoint, FrozenSet[Word]]:
     """The F_q-classes of nonzero words grouped by the F_{q^m}-line they
     span, keyed by the line's normalized point, in ascending key order."""
+    s = ctx.subfield_index
     groups: Dict[ProjPoint, Set[Word]] = {}
     for w in words:
-        groups.setdefault(proj_normalize(ctx, w), set()).add(fq_canonical(ctx, w))
+        groups.setdefault(proj_normalize(ctx, w), set()).add(proj_normalize(ctx, w, s))
     return {rep: frozenset(g) for rep, g in sorted(groups.items())}
 
 
@@ -423,7 +414,7 @@ def component_images(code: RankCode) -> List[Tuple[str, FrozenSet[ProjPoint]]]:
     A1, A2, then the PI and J components in family order."""
     comps = ([c for c in code.components if c.kind in ("A1", "A2")]
              + [c for c in code.components if c.kind in ("PI", "J")])
-    return [(c.tag(code.ctx), proj_image(code.ctx, c.words)) for c in comps]
+    return [(c.tag(code.ctx), orbit_points(code.ctx, c)) for c in comps]
 
 
 def verify_projective_decomposition(code: RankCode) -> ProjectiveDecompositionReport:
@@ -491,7 +482,7 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
     axis_ok = True
     for c in code.components:
         if c.kind in ("A1", "A2"):
-            pts = fq_classes(ctx, c.words)
+            pts = orbit_points(ctx, c, per)
             axis_ok &= spread[proj_normalize(ctx, c.orbit_rep)] == pts
             used_elements.append(pts)
 
@@ -505,7 +496,7 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
         image = frozenset().union(*groups.values())
         segre_counts[c.tag(ctx)] = len(image)
         alpha = ctx.norm_fiber(c.a)[0]
-        mapped = frozenset(fq_canonical(ctx, tau(ctx, alpha, w)) for w in base_segre)
+        mapped = frozenset(proj_normalize(ctx, tau(ctx, alpha, w), per) for w in base_segre)
         segre_equiv &= mapped == image and len(image) == per * per
         for rep, pts in groups.items():
             image_in_spread &= spread[rep] == pts
@@ -546,7 +537,7 @@ def dickson_side_subchecks(code: RankCode) -> dict:
     pis, js = _pi_and_j(code)
     ctx = code.ctx
     per = ctx.subfield_index
-    segre_ok = {c.tag(ctx): len(fq_classes(ctx, c.words)) == per * per for c in pis}
+    segre_ok = {c.tag(ctx): len(orbit_points(ctx, c, per)) == per * per for c in pis}
     hyper, support_ok = _j_side_checks(ctx, js)
     hyper_ok = {tag: rep_report.ok for tag, rep_report in hyper.items()}
     return {

@@ -48,11 +48,15 @@ def word_scale(ctx: FieldCtx, c: int, w: Word) -> Word:
     return tuple(mul(c, a) for a in w)
 
 
-def proj_normalize(ctx: FieldCtx, v: Sequence[int]) -> Tuple[int, ...]:
-    """Scale by an F_{q^m} unit so the first nonzero coordinate is 1."""
+def proj_normalize(ctx: FieldCtx, v: Sequence[int], index: int = 1) -> Tuple[int, ...]:
+    """v divided by g^(k - (k mod index)), k the log of its first nonzero
+    coordinate, which becomes g^j with 0 <= j < index: the name of v's class
+    under <g^index>.  Index 1 gives a leading 1, a point of PG(m-1, q^m);
+    index s = (q^m-1)/(q-1) names an F_q-class, as F_q* = <g^s>."""
     for c in v:
         if c:
-            inv = ctx.inv(c)
+            k = ctx.log[c]
+            inv = ctx.inv(ctx.exp[k - k % index])
             return tuple(ctx.mul(inv, x) for x in v)
     raise ValueError("cannot normalize the zero vector")
 

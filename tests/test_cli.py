@@ -331,6 +331,16 @@ def test_file_with_overlapping_components_exits_two(tmp_path, capsys, f27):
     assert len(lines) == 1 and lines[0] == "error: file components overlap"
 
 
+@pytest.mark.parametrize("command", ["verify", "distdist"])
+def test_deeply_nested_file_exits_two(tmp_path, capsys, command):
+    # 3,000 nested lists in 6 KB exceed the JSON parser's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 3000 + "]" * 3000)
+    code, text, err = run(capsys, command, str(deep))
+    assert (code, text) == (2, "")
+    assert err.splitlines() == ["error: JSON nested too deeply"]
+
+
 def test_verify_tampered_orbit_falls_back_to_bruteforce(tmp_path, capsys, f27):
     # (2, 0, 2) lies at rank distance 1 from another PI word; the swap keeps
     # the PI component's size and generator but breaks its orbit closure

@@ -152,15 +152,18 @@ def test_orbit_points_equal_the_projective_image(fixture, request):
     ctx = request.getfixturevalue(fixture)
     orbits = cf.Orbits(ctx)
     keys = [(kind, a) for kind in ("GAMMA", "Z", "PI", "J") for a in ctx.fq_elems[1:]]
+    s = ctx.subfield_index
     for kind, a in keys + [("A1", None), ("A2", None), ("A2P", None), ("ZERO", None)]:
         comp = orbits[kind, a]
-        assert ge.orbit_points(comp) == ge.proj_image(ctx, comp.words)
+        assert ge.orbit_points(ctx, comp) == ge.proj_image(ctx, comp.words)
+        classes = frozenset(ge.proj_normalize(ctx, w, s) for w in comp.words if any(w))
+        assert ge.orbit_points(ctx, comp, s) == classes
 
 
 def test_orbit_points_need_an_orbit(f27):
     comp = cd.Component("OTHER", None, cd.build_pi(f27, 1))
     with pytest.raises(ValueError, match="not a single orbit"):
-        ge.orbit_points(comp)
+        ge.orbit_points(f27, comp)
 
 
 def test_theta_swaps_the_axes(f27):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,10 +7,29 @@ from dickson_mrd import codes as cd
 from dickson_mrd import geometry as ge
 from dickson_mrd import linforms as lf
 from dickson_mrd.linalg import mat_mul, mat_rank, mat_vec
+from reference import encode, ref_mul, ref_pow
 
 
 def cyclic_vector(ctx, a):
     return tuple(ctx.frobenius(a, k) for k in range(ctx.m))
+
+
+def sample_words(ctx, count, seed):
+    rng = random.Random(seed)
+    words = (tuple(rng.randrange(ctx.order) for _ in range(ctx.m)) for _ in range(2 * count))
+    return [w for w in words if any(w)][:count]
+
+
+def cut_one_class(ctx, fam, kind):
+    """fam with one F_q-class (q - 1 words) cut from its first `kind`
+    component, which keeps its orbit_rep."""
+    comp = next(c for c in fam.components if c.kind == kind)
+    w = max(comp.words)
+    cut = cd.Component(kind, comp.a, comp.words - {lf.word_scale(ctx, c, w) for c in ctx.fq_elems[1:]},
+                       comp.orbit_rep)
+    assert len(comp.words) - len(cut.words) == ctx.q - 1
+    return cd.RankCode(ctx, fam.claimed_distance,
+                       tuple(cut if c is comp else c for c in fam.components))
 
 
 def v_basis(ctx):
@@ -51,6 +71,21 @@ def test_proj_normalize_canonical(f27):
         assert ge.proj_normalize(f27, tuple(f27.mul(c, x) for x in v)) == p
     with pytest.raises(ValueError):
         ge.proj_normalize(f27, (0, 0, 0))
+
+
+@pytest.mark.parametrize("fixture", ["f27", "f64", "f125"])
+def test_proj_normalize_names_an_fq_class_by_table_free_arithmetic(fixture, request):
+    # the name of w's F_q-class is its one F_q*-multiple, by schoolbook
+    # arithmetic, whose first nonzero coordinate is x^j with 0 <= j < s
+    ctx = request.getfixturevalue(fixture)
+    s = ctx.subfield_index
+    fq_star = [e for e in range(1, ctx.order) if ref_pow(ctx, e, ctx.q - 1) == 1]
+    leads = {ref_pow(ctx, encode(ctx, [0, 1]), j) for j in range(s)}
+    assert len(fq_star) == ctx.q - 1 and len(leads) == s
+    for w in sample_words(ctx, 60, seed=ctx.order):
+        multiples = {tuple(ref_mul(ctx, e, x) for x in w) for e in fq_star}
+        named = [v for v in multiples if next(filter(None, v)) in leads]
+        assert named == [ge.proj_normalize(ctx, w, s)]
 
 
 # ----------------------------------------------------------------------
@@ -226,6 +261,21 @@ def test_spread_partition_q3_m3(f27):
     assert len(union) == (3 ** 9 - 1) // 2
 
 
+@pytest.mark.parametrize("fixture", ["f27", "f64", "f125"])
+def test_spread_element_points_are_the_classes_of_all_multiples(fixture, request):
+    # the s points g^j r against the F_q-classes of all n multiples of rep
+    ctx = request.getfixturevalue(fixture)
+    s = ctx.subfield_index
+    for rep in sample_words(ctx, 10, seed=1):
+        multiples = [lf.word_scale(ctx, lam, rep) for lam in ctx.exp]
+        classes = {frozenset(lf.word_scale(ctx, c, v) for c in ctx.fq_elems[1:])
+                   for v in multiples}
+        points = ge.spread_element_points(ctx, rep)
+        assert len(points) == len(classes) == s
+        assert {next(cl for cl in classes if p in cl) for p in points} == classes
+        assert points == {ge.proj_normalize(ctx, v, s) for v in multiples}
+
+
 def test_spread_partition_respects_desk_bound(f64):
     with pytest.raises(ValueError, match="bound"):
         ge.spread_partition(f64)
@@ -243,7 +293,7 @@ def test_segre_points_count_and_membership(f27):
 def test_segre_word_classes(f27):
     sw = ge.segre_word_classes(f27)
     assert len(sw) == 169
-    assert sw == ge.fq_classes(f27, cd.build_pi(f27, 1))
+    assert sw == frozenset(ge.proj_normalize(f27, w, 13) for w in cd.build_pi(f27, 1))
     for w in sw:
         assert lf.rank(f27, w) == 1
 
@@ -251,7 +301,7 @@ def test_segre_word_classes(f27):
 def test_segre_invariant_only_under_norm_one_tau(f27):
     sw = ge.segre_word_classes(f27)
     for alpha in (f27.exp[13], f27.exp[2], f27.g):
-        mapped = frozenset(ge.fq_canonical(f27, ge.tau(f27, alpha, w)) for w in sw)
+        mapped = frozenset(ge.proj_normalize(f27, ge.tau(f27, alpha, w), 13) for w in sw)
         if f27.norm(alpha) == 1:
             assert mapped == sw
         else:
@@ -338,15 +388,20 @@ def test_spread_decomposition_q3(f27):
 
 def test_spread_decomposition_axis_check_sees_a_missing_class(f27):
     # drop one F_q-class (q - 1 words) from A1: its image is no spread element
-    fam = cd.build_family(f27, [2])
-    a1 = next(c for c in fam.components if c.kind == "A1")
-    w = max(a1.words)
-    cut = cd.Component("A1", None, a1.words - {lf.word_scale(f27, c, w) for c in f27.fq_elems[1:]},
-                       a1.orbit_rep)
-    assert len(a1.words) - len(cut.words) == f27.q - 1
-    code = cd.RankCode(f27, 2, tuple(cut if c is a1 else c for c in fam.components))
-    rep = ge.verify_spread_decomposition(code)
+    rep = ge.verify_spread_decomposition(cut_one_class(f27, cd.build_family(f27, [2]), "A1"))
     assert rep.axis_elements_ok is False and not rep.ok
+
+
+@pytest.mark.parametrize("kind, broken", [("PI", {"image_in_spread", "segre_equivalent"}),
+                                          ("J", {"hyperreguli_ok"})])
+def test_spread_decomposition_pi_and_j_checks_see_a_missing_class(f27, kind, broken):
+    # a PI line that lost a point is no spread element and no tau-image of
+    # the standard Segre variety; a J line that lost one is no hyperregulus member
+    rep = ge.verify_spread_decomposition(cut_one_class(f27, cd.build_family(f27, [2]), kind))
+    checks = {"axis_elements_ok": rep.axis_elements_ok, "image_in_spread": rep.image_in_spread,
+              "segre_equivalent": rep.segre_equivalent,
+              "hyperreguli_ok": all(rep.hyperreguli_ok.values())}
+    assert {name for name, value in checks.items() if not value} == broken and not rep.ok
 
 
 def test_spread_decomposition_bound(f64):
@@ -413,6 +468,17 @@ def test_dickson_side_subchecks_q4(f64):
     assert all(out["hyperreguli"].values())
     with pytest.raises(ValueError, match="nonempty"), pytest.warns(UserWarning, match="empty I"):
         ge.dickson_side_subchecks(cd.build_family(f64, []))
+
+
+@pytest.mark.parametrize("kind, check", [("PI", "segre_class_counts"), ("J", "hyperreguli")])
+def test_dickson_side_subchecks_see_a_missing_class(f64, kind, check):
+    fam = cd.build_family(f64, [f64.fq_elems[2]])
+    out = ge.dickson_side_subchecks(cut_one_class(f64, fam, kind))
+    # the cut is in the first component of its kind; the others stay whole
+    assert list(out[check].values()) == [False] + [True] * (len(out[check]) - 1)
+    assert not out["ok"]
+    other = {"PI": "hyperreguli", "J": "segre_class_counts"}[kind]
+    assert all(out[other].values())
 
 
 def test_pi_images_pairwise_disjoint_all_parameters(f27, f64):
