@@ -30,7 +30,7 @@ from .codes import (
     build_family,
     distance_distribution,
     fq_label,
-    kind_size,
+    kind_component,
     verify_mrd,
 )
 from .gfield import FieldCtx, make_field
@@ -111,11 +111,11 @@ def cmd_verify(args) -> int:
     for c in code.components:
         # a registry component passes when the loader found it to be exactly
         # the orbit its kind and parameter generate, not merely of that size
-        expected = kind_size(ctx, c.kind, c.a) if c.kind in KINDS else None
+        expected = kind_component(ctx, c.kind, c.a).size if c.kind in KINDS else None
         ok = expected is None or c.orbit_rep is not None
         comps_ok &= ok
         comp_checks.append(
-            {"tag": c.tag(ctx), "size": len(c.words), "expected": expected, "ok": ok}
+            {"tag": c.tag(ctx), "size": c.size, "expected": expected, "ok": ok}
         )
     # auto takes the orbit scan when the loaded components allow it
     mode = "auto" if args.mode == "orbit" else args.mode

@@ -143,7 +143,7 @@ def _skeleton(code: RankCode) -> dict:
 def code_to_dict(code: RankCode) -> dict:
     d = _skeleton(code)
     for cd, c in zip(d["components"], code.components):
-        cd["words"] = [word_to_lists(code.ctx, w) for w in sorted(c.words)]
+        cd["words"] = [word_to_lists(code.ctx, w) for w in sorted(c.iter_words())]
     return d
 
 
@@ -190,13 +190,14 @@ def _element_text(ctx: FieldCtx, x: int) -> str:
 
 
 def save_code(path: Union[str, Path], code: RankCode) -> None:
-    """Write `dumps_canonical(code_to_dict(code))`, one word at a time."""
+    """Write `dumps_canonical(code_to_dict(code))`, one word at a time.  Each
+    component's words are sorted from its stream, never from a built set."""
     head, *tails = dumps_canonical(_skeleton(code)).split(_NO_WORDS)
     text = Memo(lambda x: _element_text(code.ctx, x)).__getitem__
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head)
         for comp, tail in zip(code.components, tails):
-            words = sorted(comp.words)
+            words = sorted(comp.iter_words())
             fh.write('"words": [' if words else _NO_WORDS)
             for i, w in enumerate(words):
                 fh.write((",\n" if i else "\n") + "        [\n"

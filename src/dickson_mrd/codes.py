@@ -15,19 +15,25 @@ exploits: rank distance is invariant under that action, so one fixed
 representative per component suffices on one side of every pair.
 
 The registry `KINDS` holds one generator per kind and nothing else;
-`kind_component` derives the whole orbit from it (its twists by x, scaled
-to a leading 1, closed under scalars), and a loaded component is trusted as
-an orbit exactly when it equals the orbit its kind and parameter generate
-(`checked_orbit_rep`).  The scalar closure multiplies nothing: with
-n = q^m - 1 and exp2 = exp + exp, the multiples g^0 c, ..., g^(n-1) c of a
-coordinate c != 0 are the window exp2[log c : log c + n], so each row's
-multiples are its coordinates' windows zipped together (`_scaled_orbit`).
-`build_family` is the one place a family is composed, from `KINDS` or from
-the curve-model registry of `cmp_family`.
+`kind_component` derives a component from it as its base rows (the
+generator's twists by x, scaled to a leading 1, without repeats), whose
+nonzero scalar multiples are the whole orbit.  A built component is its
+rows: its size, the checks of `RankCode.assemble` and the loader's orbit
+check (`checked_orbit_rep`: a loaded set is the orbit when it is as large
+and holds every word streamed from the rows) read rows and streams, and
+its word set is built only on first use.  The stream multiplies nothing:
+with n = q^m - 1 and exp2 = exp + exp, the multiples g^0 c, ..., g^(n-1) c
+of a coordinate c != 0 are the window exp2[log c : log c + n], so each
+row's multiples are its coordinates' windows zipped together
+(`_row_multiples`).  Only the brute-force scans, save, `geometry` and
+`cmp` hold a component's words at once; the orbit scan ranks each word's
+matrix as the stream yields it, in O(rows) memory.  `build_family` is the
+one place a family is composed, from `KINDS` or from the curve-model
+registry of `cmp_family`.
 
 A `RankCode` is its components: the scans, the loader and the reports read
 them, and the union `words` is built only on first use.  `disjoint_union`
-is the one overlap check of components and of point sets.
+is the one overlap check of word sets and of point sets.
 
 The Gabidulin evaluation code (words supported on the first m-s coordinates)
 serves as the linear baseline.
@@ -41,13 +47,15 @@ import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from typing import (Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import multiprocessing
 
 from .gfield import FieldCtx
 from .linforms import (
+    Columns,
     Word,
     column_rank as _rank_of,
     linmap_fq_matrix,
@@ -59,17 +67,51 @@ from .linforms import (
 )
 
 
-@dataclass(frozen=True)
 class Component:
     """One tagged piece of a code.  kind is a `KINDS` key, OTHER, or a
     curve-model kind (see cmp_family); `a` is the F_q parameter of a
     parametrized kind; orbit_rep is set when the component is a single
-    Singer-pair orbit."""
+    Singer-pair orbit.
 
-    kind: str
-    a: Optional[int]
-    words: FrozenSet[Word]
-    orbit_rep: Optional[Word] = None
+    A component is given either its word set (the loader,
+    `RankCode.from_words`) or, built from a registry (`kind_component`),
+    its field and base rows: pairwise distinct words with leading
+    coordinate 1 whose nonzero scalar multiples are the component.  `size`,
+    `iter_words` and the checks of `RankCode.assemble` read the rows;
+    `words` is built from them on first use and cached."""
+
+    def __init__(self, kind: str, a: Optional[int], words: Optional[FrozenSet[Word]] = None,
+                 orbit_rep: Optional[Word] = None, *, ctx: Optional[FieldCtx] = None,
+                 rows: Optional[Tuple[Word, ...]] = None):
+        if (words is None) == (rows is None):
+            raise ValueError("a component is given either its words or its base rows")
+        self.kind, self.a, self.orbit_rep = kind, a, orbit_rep
+        self.ctx, self.rows = ctx, rows
+        if words is not None:
+            self.__dict__["words"] = words  # the cached value of `words`
+
+    @cached_property
+    def words(self) -> FrozenSet[Word]:
+        """The word set, closed from the base rows on first use."""
+        return _scaled_orbit(self.ctx, self.rows)
+
+    @property
+    def size(self) -> int:
+        if self.rows is None:
+            return len(self.words)
+        return len(self.rows) * self.ctx.mult_order
+
+    def __contains__(self, w: Word) -> bool:
+        if self.rows is None:
+            return w in self.words
+        return any(w) and proj_normalize(self.ctx, w) in self.rows
+
+    def iter_words(self) -> Iterator[Word]:
+        """The words one at a time: the rows' multiples, streamed without
+        building the set, or the given set."""
+        if self.rows is None:
+            return iter(self.words)
+        return _row_multiples(self.ctx, self.rows)
 
     def tag(self, ctx: FieldCtx) -> str:
         if self.kind in ("PI", "J"):
@@ -104,7 +146,7 @@ class RankCode:
 
     @property
     def size(self) -> int:
-        return sum(len(c.words) for c in self.components)
+        return sum(c.size for c in self.components)
 
     @cached_property
     def words(self) -> FrozenSet[Word]:
@@ -117,13 +159,19 @@ class RankCode:
     @staticmethod
     def assemble(ctx: FieldCtx, claimed_distance: int,
                  components: Sequence[Component]) -> "RankCode":
+        """The code of `components`, checked without building a row-built
+        component's words: its rows must have leading coordinate 1 and occur
+        once in the code, so each nonzero word lies in at most one component
+        and the sizes are exact."""
         for comp in components:
-            if comp.orbit_rep is not None and comp.orbit_rep not in comp.words:
+            if comp.rows is not None and any(next(filter(None, r), 0) != 1 for r in comp.rows):
+                raise ValueError(f"a base row of {comp.kind} is not normalized")
+            if comp.orbit_rep is not None and comp.orbit_rep not in comp:
                 raise ValueError(f"orbit representative missing from {comp.kind}")
-        if not disjoint_union(c.words for c in components)[0]:
+        if not _disjoint(ctx, components):
             raise ValueError("components overlap")
         zw = zero_word(ctx)
-        if any((zw in c.words) != (c.kind == "ZERO") for c in components):
+        if any((zw in c) != (c.kind == "ZERO") for c in components):
             raise ValueError("zero word must appear exactly in a ZERO component")
         code = RankCode(ctx, claimed_distance, tuple(components))
         if code.size > singleton_bound(ctx.q, ctx.m, claimed_distance):
@@ -156,15 +204,26 @@ class Memo(dict):
         return value
 
 
-def disjoint_union(sets: Iterable[FrozenSet]) -> Tuple[bool, set]:
+def disjoint_union(sets: Iterable[Collection]) -> Tuple[bool, set]:
     """(whether the sets are pairwise disjoint, their union), in one pass:
-    they are disjoint exactly when the union is as large as their sizes' sum."""
+    they are disjoint exactly when the union is as large as their sizes' sum.
+    A sequence counts as a set whose elements must also be distinct."""
     union: set = set()
     total = 0
     for s in sets:
-        union |= s
+        union.update(s)
         total += len(s)
     return len(union) == total, union
+
+
+def _disjoint(ctx: FieldCtx, components: Sequence[Component]) -> bool:
+    """Whether no word lies twice in the components: base rows are compared
+    as rows (a nonzero word has one normalized row), word sets as words,
+    and each given nonzero word's row against all base rows."""
+    rows_ok, rows = disjoint_union(c.rows for c in components if c.rows is not None)
+    words_ok, words = disjoint_union(c.words for c in components if c.rows is None)
+    return rows_ok and words_ok and not any(
+        proj_normalize(ctx, w) in rows for w in words if any(w))
 
 
 def singleton_bound(q: int, m: int, d: int) -> int:
@@ -214,43 +273,46 @@ KINDS: Registry = {
 }
 
 
-def _base_rows(ctx: FieldCtx, w: Word) -> List[Word]:
+def _base_rows(ctx: FieldCtx, w: Word) -> Tuple[Word, ...]:
     """The twists (w_k x^(q^k - 1))_k of w for x = g^0, ..., g^(s-1), each
     scaled so its first nonzero entry is 1, without repeats.  x^(q^k - 1)
     only depends on the class of x modulo F_q*, so the scalar multiples of
     these rows are the Singer-pair orbit of a nonzero w."""
     if not any(w):
-        return []
+        return ()
     q, mul, powf = ctx.q, ctx.mul, ctx.pow
-    return list(dict.fromkeys(
+    return tuple(dict.fromkeys(
         proj_normalize(ctx, [mul(c, powf(x, q ** k - 1)) for k, c in enumerate(w)])
         for x in ctx.exp[:ctx.subfield_index]))
 
 
-def _scaled_orbit(ctx: FieldCtx, rows: Sequence[Word]) -> FrozenSet[Word]:
-    """Close a family of base rows under nonzero scalar multiples, u = g^0,
-    g^1, ... in turn: u c runs over the window exp2[log c : log c + n]."""
+def _row_multiples(ctx: FieldCtx, rows: Sequence[Word]) -> Iterator[Word]:
+    """The nonzero scalar multiples of each base row, u = g^0, g^1, ... in
+    turn: u c runs over the window exp2[log c : log c + n]."""
     n, log = ctx.mult_order, ctx.log
     exp2 = ctx.exp + ctx.exp
     multiples = (zip(*(itertools.islice(exp2, log[c], log[c] + n) if c
                        else itertools.repeat(0, n) for c in base)) for base in rows)
-    out = frozenset(itertools.chain.from_iterable(multiples))
+    return itertools.chain.from_iterable(multiples)
+
+
+def _scaled_orbit(ctx: FieldCtx, rows: Sequence[Word]) -> FrozenSet[Word]:
+    """The set of `_row_multiples`, which must not repeat a word."""
+    out = frozenset(_row_multiples(ctx, rows))
     if len(out) != len(rows) * ctx.mult_order:
         raise RuntimeError("unexpected collision while building component")
     return out
 
 
-def kind_size(ctx: FieldCtx, kind: str, a: Optional[int] = None) -> int:
-    """The size of the Singer-pair orbit of a registry kind."""
-    return len(_base_rows(ctx, KINDS[kind](ctx, a))) * ctx.mult_order or 1
-
-
 def kind_component(ctx: FieldCtx, kind: str, a: Optional[int] = None,
                    kinds: Registry = KINDS) -> Component:
-    """The whole Singer-pair orbit of a registry kind, tagged with its generator."""
+    """The Singer-pair orbit of a registry kind, tagged with its generator:
+    its base rows, or the zero word alone."""
     w = kinds[kind](ctx, a)
     rows = _base_rows(ctx, w)
-    return Component(kind, a, _scaled_orbit(ctx, rows) if rows else frozenset([w]), w)
+    if not rows:
+        return Component(kind, a, frozenset([w]), w)
+    return Component(kind, a, orbit_rep=w, ctx=ctx, rows=rows)
 
 
 def build_pi(ctx: FieldCtx, a: int) -> FrozenSet[Word]:
@@ -274,11 +336,14 @@ def build_axis(ctx: FieldCtx, i: int) -> FrozenSet[Word]:
 def checked_orbit_rep(ctx: FieldCtx, kind: str, a: Optional[int],
                       words: FrozenSet[Word]) -> Optional[Word]:
     """The generator of `kind` if `words` is exactly the orbit that kind
-    and parameter generate, else None."""
+    and parameter generate, else None.  The orbit's words are distinct, so
+    `words` is the orbit when it is as large and holds each of them."""
     if kind not in KINDS:
         return None
     comp = kind_component(ctx, kind, a)
-    return comp.orbit_rep if words == comp.words else None
+    if len(words) == comp.size and all(map(words.__contains__, comp.iter_words())):
+        return comp.orbit_rep
+    return None
 
 
 def build_family(ctx: FieldCtx, I: Sequence[int], kinds: Registry = KINDS) -> RankCode:
@@ -326,26 +391,52 @@ def build_gabidulin(ctx: FieldCtx, s: int) -> RankCode:
 # ----------------------------------------------------------------------
 
 _PAR_STATE: dict = {}
+# Words whose matrices the orbit scan builds at a time: batches keep the
+# rank loop as tight as over a full matrix list, in constant memory.
+_BATCH = 1024
 
 
 def _stripe(args):
-    """Reduce the ranks of one share of the scan: for each row (left, lo),
-    the pairs (left, mats[j]) for every step-th j from lo + offset on."""
+    """Reduce the ranks of one share of the scan: each pair block
+    (lefts, rights) of `share(offset, step)` ranks every left against every
+    right."""
     mode, offset, step = args
-    mats, rows, tables = _PAR_STATE["mats"], _PAR_STATE["rows"], _PAR_STATE["tables"]
-    m = _PAR_STATE["m"]
+    tables, m = _PAR_STATE["tables"], _PAR_STATE["m"]
     best = m
     counts = [0] * (m + 1)
-    for left, lo in rows:
-        for right in mats[lo + offset::step]:
-            r = _rank_of(left, right, tables)
-            if mode == "hist":
-                counts[r] += 1
-            elif r < best:
-                best = r
-                if best == 1:
-                    return best
+    for lefts, rights in _PAR_STATE["share"](offset, step):
+        for left in lefts:
+            for right in rights:
+                r = _rank_of(left, right, tables)
+                if mode == "hist":
+                    counts[r] += 1
+                elif r < best:
+                    best = r
+                    if best == 1:
+                        return best
     return best if mode == "min" else {r: c for r, c in enumerate(counts) if c}
+
+
+def _orbit_share(ctx: FieldCtx, components: Sequence[Component], reps: List[Columns],
+                 offset: int, step: int) -> Iterator[Tuple[List[Columns], Sequence[Columns]]]:
+    """The pair blocks of every step-th word from offset on, the words laid
+    out component by component with each representative first.  A word is
+    ranked against the representatives `reps` of the earlier components,
+    and of its own unless it is that representative; its matrix is built
+    when its batch is read."""
+    pos = 0
+    for j, comp in enumerate(components):
+        rep = comp.orbit_rep
+        if pos % step == offset:
+            yield reps[:j], (linmap_fq_matrix(ctx, rep),)
+        rest = itertools.islice(filter(rep.__ne__, comp.iter_words()),
+                                (offset - pos - 1) % step, None, step)
+        while True:
+            batch = [linmap_fq_matrix(ctx, w) for w in itertools.islice(rest, _BATCH)]
+            if not batch:
+                break
+            yield reps[:j + 1], batch
+        pos += comp.size
 
 
 def _all_pairs(code: RankCode, source: str, mode: str, threads: int):
@@ -353,24 +444,24 @@ def _all_pairs(code: RankCode, source: str, mode: str, threads: int):
     `threads` forked workers (at most one per CPU).
 
     Both sources lay the components' words out in order.  `bruteforce`
-    pairs every word with each later word.  `orbit` puts each component's
-    orbit representative first and pairs it with every later word, i.e.
-    the rest of its own component and each later component.
+    builds every word's matrix and pairs each with every later word, each
+    worker taking every step-th later word.  `orbit` builds each
+    component's representative's matrix, then streams the words, each
+    worker taking every step-th one, and pairs each word's matrix with its
+    own component's representative and each earlier one's.  It holds one
+    batch of matrices at a time, never a word set or a matrix per word.
     """
     ctx = code.ctx
     if source == "bruteforce":
-        mats = [linmap_fq_matrix(ctx, w) for c in code.components for w in c.words]
-        rows = [(left, i + 1) for i, left in enumerate(mats)]
+        mats = [linmap_fq_matrix(ctx, w) for c in code.components for w in c.iter_words()]
+        share = lambda offset, step: (((left,), mats[i + 1 + offset::step])
+                                      for i, left in enumerate(mats))
     else:
-        mats, rows = [], []
-        for comp in code.components:
-            rep = comp.orbit_rep
-            rows.append((linmap_fq_matrix(ctx, rep), len(mats) + 1))
-            mats.append(linmap_fq_matrix(ctx, rep))
-            mats.extend(linmap_fq_matrix(ctx, w) for w in comp.words if w != rep)
+        reps = [linmap_fq_matrix(ctx, c.orbit_rep) for c in code.components]
+        share = partial(_orbit_share, ctx, code.components, reps)
     workers = max(1, min(threads, os.cpu_count() or 1))
     # The rank tables are built here, before any fork, so workers inherit them.
-    _PAR_STATE.update(mats=mats, rows=rows, tables=rank_tables(ctx), m=ctx.m)
+    _PAR_STATE.update(share=share, tables=rank_tables(ctx), m=ctx.m)
     try:
         if workers == 1:
             return [_stripe((mode, 0, 1))]

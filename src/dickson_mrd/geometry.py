@@ -330,11 +330,13 @@ class HyperregulusReport:
 def line_classes(ctx: FieldCtx, words: Iterable[Word]) -> Dict[ProjPoint, FrozenSet[Word]]:
     """The F_q-classes of nonzero words grouped by the F_{q^m}-line they
     span, keyed by the line's normalized point, in ascending key order."""
-    s = ctx.subfield_index
-    groups: Dict[ProjPoint, Set[Word]] = {}
+    s, log, exp = ctx.subfield_index, ctx.log, ctx.exp
+    groups: Dict[ProjPoint, Set[int]] = {}
     for w in words:
-        groups.setdefault(proj_normalize(ctx, w), set()).add(proj_normalize(ctx, w, s))
-    return {rep: frozenset(g) for rep, g in sorted(groups.items())}
+        # w = g^k r for its point r, and its class is named g^(k mod s) r
+        groups.setdefault(proj_normalize(ctx, w), set()).add(log[next(filter(None, w))] % s)
+    return {r: frozenset(word_scale(ctx, exp[j], r) for j in js)
+            for r, js in sorted(groups.items())}
 
 
 def hyperregulus(ctx: FieldCtx, component: Component) -> HyperregulusReport:

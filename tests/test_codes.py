@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -173,7 +174,7 @@ def test_orbit_check_accepts_exactly_the_orbits(fixture, request):
     ctx = request.getfixturevalue(fixture)
     fam = cd.build_family(ctx, [ctx.fq_elems[2]])
     for c in fam.components:
-        assert len(c.words) == cd.kind_size(ctx, c.kind, c.a)
+        assert len(c.words) == cd.kind_component(ctx, c.kind, c.a).size
         assert cd.checked_orbit_rep(ctx, c.kind, c.a, c.words) == c.orbit_rep
     pi, j = fam.components[:2]
     moved = next(w for w in sorted(pi.words) if w != pi.orbit_rep)
@@ -297,6 +298,77 @@ def test_scan_workers_capped_at_cpu_count(f27, monkeypatch):
     assert cd.min_distance(fam, "orbit", threads=64) == 2
     assert cd.distance_distribution(gab, threads=1000) == cd.distance_distribution(gab)
     assert _InlinePool.sizes == [2, 2]
+
+
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call of codes.<name>."""
+    calls = []
+    original = getattr(cd, name)
+    monkeypatch.setattr(cd, name, lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+def test_orbit_scan_ranks_each_pair_once_and_builds_each_matrix_once(f27, monkeypatch):
+    # the shapes the benchmark harness pins: one rank per scanned pair, and
+    # one matrix per word plus one per component representative
+    fam = cd.build_family(f27, [2])
+    ranks = _count_calls(monkeypatch, "_rank_of")
+    matrices = _count_calls(monkeypatch, "linmap_fq_matrix")
+    assert cd.min_distance(fam, "orbit") == 2
+    sizes = [c.size for c in fam.components]
+    assert len(ranks) == sum(sum(sizes[i + 1:]) + n - 1 for i, n in enumerate(sizes))
+    assert len(matrices) == sum(sizes) + len(sizes)
+
+
+def test_orbit_workers_each_take_a_disjoint_share_of_the_words(f27, monkeypatch):
+    fam = cd.build_family(f27, [2])
+    serial = cd.min_distance(fam, "orbit")
+    worker = [None]
+    stripe = cd._stripe
+    monkeypatch.setattr(cd, "_stripe", lambda args: worker.__setitem__(0, args[1]) or stripe(args))
+    matrix = cd.linmap_fq_matrix
+    seen = {}
+    monkeypatch.setattr(cd, "linmap_fq_matrix",
+                        lambda ctx, w: seen.setdefault(worker[0], []).append(w) or matrix(ctx, w))
+    monkeypatch.setattr(cd, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cd.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    assert cd.min_distance(fam, "orbit", threads=2) == serial == 2
+    assert _InlinePool.sizes == [2]
+    # the representatives' matrices are built once, before the split
+    assert seen.pop(None) == [c.orbit_rep for c in fam.components]
+    assert set(seen) == {0, 1} and all(seen.values())
+    assert sorted(seen[0] + seen[1]) == sorted(fam.words)
+
+
+@pytest.mark.parametrize("fixture", ["f27", "f81"])
+def test_orbit_verify_builds_no_component_word_set(fixture, request):
+    ctx = request.getfixturevalue(fixture)
+    fam = cd.build_family(ctx, [2])
+    assert fam.size == ctx.q ** (2 * ctx.m)
+    assert cd.verify_mrd(fam, "orbit").mrd
+    rowed = [c for c in fam.components if c.rows is not None]
+    assert [c.kind for c in fam.components if c.rows is None] == ["ZERO"]
+    assert all("words" not in vars(c) for c in rowed)
+    assert sum(c.size for c in rowed) == len(fam.words) - 1
+
+
+def test_orbit_verify_memory_is_far_below_the_word_set(f81):
+    fam = cd.build_family(f81, [2])
+    assert cd.verify_mrd(fam, "orbit").mrd  # field tables are built once, untraced
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cd.verify_mrd(fam, "orbit").mrd
+        scan_peak = tracemalloc.get_traced_memory()[1] - base
+        other = cd.build_family(f81, [2])
+        base = tracemalloc.get_traced_memory()[0]
+        held = [c.words for c in other.components]
+        word_sets = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, held)) == 6561
+    assert scan_peak < word_sets / 4
 
 
 def test_distance_distribution_two_words(f27):
@@ -449,6 +521,24 @@ def test_assemble_places_the_zero_word_in_a_zero_component(f27):
         with pytest.raises(ValueError, match="zero word must appear exactly in a ZERO component"):
             cd.RankCode.assemble(f27, 1, misplaced)
     assert cd.RankCode.assemble(f27, 1, [a1, cd.kind_component(f27, "ZERO")]).size == 27
+
+
+def test_assemble_checks_base_rows(f27):
+    a1, a2, zero = (cd.kind_component(f27, kind) for kind in ("A1", "A2", "ZERO"))
+    assert cd.RankCode.assemble(f27, 1, [a1, a2, zero]).size == 53
+    g = f27.g
+    scaled = cd.Component("A2", None, orbit_rep=(0, 0, g), ctx=f27, rows=((0, 0, g),))
+    with pytest.raises(ValueError, match="not normalized"):
+        cd.RankCode.assemble(f27, 1, [a1, scaled, zero])
+    shared = cd.Component("OTHER", None, ctx=f27, rows=((0, 1, 0), (1, 0, 0)))
+    twice = cd.Component("OTHER", None, ctx=f27, rows=((0, 1, 0), (0, 1, 0)))
+    for comps in ([a1, shared, zero], [a1, twice, zero]):
+        with pytest.raises(ValueError, match="components overlap"):
+            cd.RankCode.assemble(f27, 1, comps)
+    # a given word set is checked against base rows through its words' rows
+    multiple = cd.Component("OTHER", None, frozenset([(g, 0, 0)]))
+    with pytest.raises(ValueError, match="components overlap"):
+        cd.RankCode.assemble(f27, 1, [a1, multiple, zero])
 
 
 def test_rankcode_respects_singleton_bound(f27):

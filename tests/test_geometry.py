@@ -308,6 +308,21 @@ def test_segre_invariant_only_under_norm_one_tau(f27):
             assert not (mapped & sw)
 
 
+@pytest.mark.parametrize("fixture", ["f27", "f64", "f125"])
+def test_line_classes_equal_the_two_normalization_form(fixture, request):
+    ctx = request.getfixturevalue(fixture)
+    s = ctx.subfield_index
+    fam = cd.build_family(ctx, [ctx.fq_elems[2]])
+    for words in [c.words for c in fam.components if c.kind != "ZERO"] + [
+            sample_words(ctx, 300, ctx.order)]:
+        want = {}
+        for w in words:
+            want.setdefault(lf.proj_normalize(ctx, w), set()).add(lf.proj_normalize(ctx, w, s))
+        got = ge.line_classes(ctx, words)
+        assert list(got) == sorted(want)
+        assert got == {r: frozenset(names) for r, names in want.items()}
+
+
 def test_hyperregulus_reports(f27):
     for a in (1, 2):
         rep = ge.hyperregulus(f27, cd.kind_component(f27, "J", a))
