@@ -17,11 +17,8 @@ from .linforms import (
 from .codes import (
     Component,
     RankCode,
-    build_axis,
     build_family,
     build_gabidulin,
-    build_J,
-    build_pi,
     distance_distribution,
     linearity_witness,
     min_distance,
@@ -36,11 +33,8 @@ __all__ = [
     "RankCode",
     "Word",
     "apply_aut",
-    "build_axis",
     "build_family",
     "build_gabidulin",
-    "build_J",
-    "build_pi",
     "dickson",
     "dickson_mul",
     "dickson_transpose",

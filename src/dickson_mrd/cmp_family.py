@@ -14,11 +14,16 @@ The coordinate permutation theta: (c1, c2, c3) -> (c2, c3, c1) with every
 entry raised to the q^2 power carries gamma(a) onto pi(1/a), Z(b) onto
 J(1/b), A1 onto A2 and A2' onto A1, so the theta-image of the CMP family
 with parameter set I is exactly the Dickson-model family with parameter set
-I^-1.  `verify_family_match` checks that as plain set equality and runs the
-maximality verification on the registry-built Dickson-model family, whose
-components carry checked orbit representatives.  `verify_component_maps`
-checks the map of every gamma and Z component.  `Orbits` holds the
-components, theta-images and splashes of one command, each computed once.
+I^-1.  Every component is closed under F_{q^3}* scalars and theta is
+semilinear, theta(u v) = u^(q^2) theta(v), so a component's theta-image is
+the scalar closure of the theta-images of its points: the reports compare
+point sets of PG(2, q^3), once theta(g v) = g^(q^2) theta(v) has been
+checked at every point, and build no word set.  `verify_family_match`
+checks the match as plain set equality and runs the maximality
+verification on the registry-built Dickson-model family, whose components
+carry checked orbit representatives.  `verify_component_maps` checks the
+map of every gamma and Z component.  `Orbits` holds the components,
+theta-images and splashes of one command, each computed once.
 
 `verify_curve_splash` recomputes by brute force the exterior splash of a
 gamma component on the line X3 = 0: it equals the norm fiber of -a^2, not
@@ -52,7 +57,7 @@ from .geometry import (
     proj_normalize,
     proj_points_iter,
 )
-from .linforms import Word
+from .linforms import Word, word_scale
 
 
 def _require_plane(ctx: FieldCtx) -> None:
@@ -116,28 +121,35 @@ class Orbits(Memo):
     each built once: `keep` files those of a family built before any lookup,
     and a lookup of another builds it from its model's registry (A1 and ZERO
     are one orbit in both).  `image` gives the theta-image of a curve
-    component and `splashes` the exterior splash of a gamma or pi component
-    on its `_SPLASH_LINE`, each computed once and kept under the component:
-    a memo that looked components up in the store would make the store a
-    reference cycle, which outlives its command."""
+    component's points and `splashes` the exterior splash of a gamma or pi
+    component on its `_SPLASH_LINE`, each computed once and kept under the
+    component: a memo that looked components up in the store would make the
+    store a reference cycle, which outlives its command."""
 
     def __init__(self, ctx: FieldCtx):
         _require_plane(ctx)
         super().__init__(lambda key: kind_component(
             ctx, *key, CURVE_KINDS if key[0] in CURVE_KINDS else KINDS))
         self.ctx = ctx
-        self._images: Dict[Component, FrozenSet[Word]] = {}
+        self._images: Dict[Component, Optional[FrozenSet[ProjPoint]]] = {}
         self.splashes = Memo(lambda c: exterior_splash(
             ctx, orbit_points(ctx, c), line_through(ctx, *_SPLASH_LINE[c.kind])))
 
-    def image(self, c: Component) -> FrozenSet[Word]:
-        """The theta-image of the curve component c.  An image equal to the
-        words of its `theta_partner` is held as those words, so the store
-        keeps no second copy of an orbit."""
+    def image(self, c: Component) -> Optional[FrozenSet[ProjPoint]]:
+        """The points of the theta-image of the curve component c, the
+        normalized images of its points, or None when theta(g v) differs
+        from g^(q^2) theta(v) at one of them: only a semilinear theta carries
+        each point's multiples onto those of its image, so None compares
+        unequal to every point set."""
         if c not in self._images:
-            image = frozenset(theta(self.ctx, w) for w in c.words)
-            partner = self[theta_partner(self.ctx, c.kind, c.a)].words
-            self._images[c] = partner if image == partner else image
+            ctx = self.ctx
+            g, g_q2 = ctx.g, ctx.frobenius(ctx.g, 2)
+            points = orbit_points(ctx, c)
+            images = [theta(ctx, p) for p in points]
+            semilinear = all(theta(ctx, word_scale(ctx, g, p)) == word_scale(ctx, g_q2, t)
+                             for p, t in zip(points, images))
+            self._images[c] = (frozenset(proj_normalize(ctx, t) for t in images)
+                               if semilinear else None)
         return self._images[c]
 
     def keep(self, code: RankCode) -> RankCode:
@@ -167,20 +179,21 @@ def verify_family_match(orbits: Orbits, I: Sequence[int], threads: int = 1) -> F
     fam_I = [c.a for c in fam.components if c.kind == "GAMMA"]
     inv_I = sorted((ctx.inv(a) for a in fam_I), key=ctx.fq_index)
     target = orbits.keep(build_family(ctx, inv_I))
-    image = [Component(*theta_partner(ctx, c.kind, c.a), orbits.image(c))
-             for c in fam.components]
-    by_tag_img = {c.tag(ctx): c.words for c in image}
-    by_tag_tgt = {c.tag(ctx): c.words for c in target.components}
+    by_tag_img = {orbits[theta_partner(ctx, c.kind, c.a)].tag(ctx): orbits.image(c)
+                  for c in fam.components}
+    by_tag_tgt = {c.tag(ctx): orbit_points(ctx, c) for c in target.components}
     matches = {
         tag: by_tag_img.get(tag) == by_tag_tgt.get(tag)
         for tag in sorted(set(by_tag_img) | set(by_tag_tgt))
     }
+    images = list(by_tag_img.values())
     report = verify_mrd(target, mode="orbit", threads=threads)
     return FamilyMatchReport(
         I=tuple(fq_label(ctx, a) for a in fam_I),
         inverse_I=tuple(fq_label(ctx, a) for a in inv_I),
         component_matches=matches,
-        set_equal=frozenset().union(*by_tag_img.values()) == target.words,
+        set_equal=(None not in images
+                   and frozenset().union(*images) == frozenset().union(*by_tag_tgt.values())),
         mrd=report,
     )
 
@@ -191,11 +204,12 @@ def verify_component_maps(orbits: Orbits) -> Dict[str, dict]:
     ctx = orbits.ctx
 
     def maps(kind: str, a: int) -> bool:
-        return orbits.image(orbits[kind, a]) == orbits[theta_partner(ctx, kind, a)].words
+        return orbits.image(orbits[kind, a]) == orbit_points(
+            ctx, orbits[theta_partner(ctx, kind, a)])
 
     return {
         fq_label(ctx, a): {
-            "size": len(orbits["GAMMA", a].words),
+            "size": orbits["GAMMA", a].size,
             "gamma_to_pi": maps("GAMMA", a),
             "z_to_j": maps("Z", a),
         }

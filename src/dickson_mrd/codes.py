@@ -25,11 +25,12 @@ its word set is built only on first use.  The stream multiplies nothing:
 with n = q^m - 1 and exp2 = exp + exp, the multiples g^0 c, ..., g^(n-1) c
 of a coordinate c != 0 are the window exp2[log c : log c + n], so each
 row's multiples are its coordinates' windows zipped together
-(`_row_multiples`).  Only the brute-force scans, save, `geometry` and
-`cmp` hold a component's words at once; the orbit scan ranks each word's
-matrix as the stream yields it, in O(rows) memory.  `build_family` is the
-one place a family is composed, from `KINDS` or from the curve-model
-registry of `cmp_family`.
+(`_row_multiples`).  Only the brute-force scans, save and three
+word-level checks of `geometry` hold a component's words at once; the
+orbit scan ranks each word's matrix as the stream yields it, and the
+point-level reports read each row's first few multiples, in O(rows)
+memory.  `build_family` is the one place a family is composed, from
+`KINDS` or from the curve-model registry of `cmp_family`.
 
 A `RankCode` is its components: the scans, the loader and the reports read
 them, and the union `words` is built only on first use.  `disjoint_union`
@@ -286,10 +287,12 @@ def _base_rows(ctx: FieldCtx, w: Word) -> Tuple[Word, ...]:
         for x in ctx.exp[:ctx.subfield_index]))
 
 
-def _row_multiples(ctx: FieldCtx, rows: Sequence[Word]) -> Iterator[Word]:
-    """The nonzero scalar multiples of each base row, u = g^0, g^1, ... in
-    turn: u c runs over the window exp2[log c : log c + n]."""
-    n, log = ctx.mult_order, ctx.log
+def _row_multiples(ctx: FieldCtx, rows: Sequence[Word],
+                   count: Optional[int] = None) -> Iterator[Word]:
+    """The multiples g^0 r, ..., g^(n-1) r of each base row r in turn, with
+    n = count, by default all q^m - 1 nonzero ones: u c runs over the
+    window exp2[log c : log c + n]."""
+    n, log = ctx.mult_order if count is None else count, ctx.log
     exp2 = ctx.exp + ctx.exp
     multiples = (zip(*(itertools.islice(exp2, log[c], log[c] + n) if c
                        else itertools.repeat(0, n) for c in base)) for base in rows)
@@ -313,24 +316,6 @@ def kind_component(ctx: FieldCtx, kind: str, a: Optional[int] = None,
     if not rows:
         return Component(kind, a, frozenset([w]), w)
     return Component(kind, a, orbit_rep=w, ctx=ctx, rows=rows)
-
-
-def build_pi(ctx: FieldCtx, a: int) -> FrozenSet[Word]:
-    """All words (u x, u alpha x^q, ..., u alpha^(1+...+q^(m-2)) x^(q^(m-1)))
-    over nonzero u, x; independent of which alpha has norm a."""
-    return kind_component(ctx, "PI", a).words
-
-
-def build_J(ctx: FieldCtx, b: int) -> FrozenSet[Word]:
-    """All words (u x, 0, ..., 0, -u beta x^(q^(m-1))), beta of norm b."""
-    return kind_component(ctx, "J", b).words
-
-
-def build_axis(ctx: FieldCtx, i: int) -> FrozenSet[Word]:
-    """A1 (i=1): words (x, 0, ..., 0).  A2 (i=2): words (0, ..., 0, x)."""
-    if i not in (1, 2):
-        raise ValueError("axis index must be 1 or 2")
-    return kind_component(ctx, f"A{i}").words
 
 
 def checked_orbit_rep(ctx: FieldCtx, kind: str, a: Optional[int],

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from .codes import Component, RankCode, Report, disjoint_union, kind_component
+from .codes import Component, RankCode, Report, _row_multiples, disjoint_union, kind_component
 from .gfield import FieldCtx
 from .linalg import fq_rank, mat_inv, mat_mul, mat_rank, mat_transpose, mat_vec
 from .linforms import Word, dickson, proj_normalize, word_scale
@@ -61,9 +61,13 @@ def proj_image(ctx: FieldCtx, vectors: Iterable[Sequence[int]]) -> FrozenSet[Pro
 def orbit_points(ctx: FieldCtx, comp: Component, index: int = 1) -> FrozenSet[Word]:
     """The `proj_normalize(ctx, w, index)` points of a single Singer-pair
     orbit, with no field arithmetic: the orbit is closed under F_{q^m}*
-    scalars, so they are exactly its words whose leading log is below index."""
+    scalars, so they are exactly its words whose leading log is below index,
+    the multiples g^0 r, ..., g^(index-1) r of its base rows r.  A component
+    given as a word set has its words filtered instead."""
     if comp.orbit_rep is None:
         raise ValueError(f"{comp.kind} component is not a single orbit")
+    if comp.rows is not None:
+        return frozenset(_row_multiples(ctx, comp.rows, index))
     log = ctx.log
     return frozenset(w for w in comp.words if 0 <= log[next(filter(None, w), 0)] < index)
 
@@ -141,10 +145,6 @@ def field_reduce(ctx: FieldCtx, v: Sequence[int]) -> TensorMat:
     return tuple(tuple(cols[k][r] for k in range(m)) for r in range(m))
 
 
-def tensor_rank(ctx: FieldCtx, t: TensorMat) -> int:
-    return fq_rank(ctx, t)
-
-
 def cyclic_reduce(ctx: FieldCtx, v: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
     """The Dickson matrix generated by the Singer-coordinate tuple."""
     return dickson(ctx, tuple(v))
@@ -200,7 +200,7 @@ def verify_reduction_equivalence(ctx: FieldCtx,
     for w in sample:
         d, x = _both_reductions(ctx, w)
         bad_cong += not _congruent(ctx, d, x)
-        bad_rank += mat_rank(ctx, d) != tensor_rank(ctx, x)
+        bad_rank += mat_rank(ctx, d) != fq_rank(ctx, x)
     return ReductionReport(len(sample), bad_cong, bad_rank)
 
 
@@ -233,28 +233,22 @@ def spread_element_points(ctx: FieldCtx, rep: Sequence[int]) -> FrozenSet[Word]:
     return frozenset(word_scale(ctx, x, r) for x in ctx.exp[:ctx.subfield_index])
 
 
-@dataclass(frozen=True)
-class SpreadElement:
-    rep: ProjPoint
-    points: FrozenSet[Word]
-
-
 def spread_point_count(ctx: FieldCtx) -> int:
     """Number of points of PG(m^2-1, q)."""
     return (ctx.q ** (ctx.m * ctx.m) - 1) // (ctx.q - 1)
 
 
-def spread_partition(ctx: FieldCtx) -> List[SpreadElement]:
-    """The full partition of PG(m^2-1, q) into F_{q^m}-line classes,
-    with cover and disjointness verified."""
+def spread_partition(ctx: FieldCtx) -> Dict[ProjPoint, FrozenSet[Word]]:
+    """The full partition of PG(m^2-1, q) into F_{q^m}-line classes, each
+    element keyed by its point of PG(m-1, q^m), with cover and disjointness
+    verified."""
     n_points = spread_point_count(ctx)
     if n_points > SPREAD_POINT_LIMIT:
         raise ValueError(f"spread with {n_points} points exceeds the desk bound")
-    elements = [SpreadElement(rep, spread_element_points(ctx, rep))
-                for rep in proj_points_iter(ctx)]
-    if any(len(el.points) != ctx.subfield_index for el in elements):
+    elements = {rep: spread_element_points(ctx, rep) for rep in proj_points_iter(ctx)}
+    if any(len(pts) != ctx.subfield_index for pts in elements.values()):
         raise RuntimeError("spread element has wrong size")
-    disjoint, union = disjoint_union(el.points for el in elements)
+    disjoint, union = disjoint_union(elements.values())
     if not disjoint or len(union) != n_points:
         raise RuntimeError("spread is not a partition")
     return elements
@@ -476,15 +470,16 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
     pis, js = _pi_and_j(code)
     ctx = code.ctx
     per = ctx.subfield_index
-    spread = {el.rep: el.points for el in spread_partition(ctx)}
+    spread = spread_partition(ctx)
 
     used_elements: List[FrozenSet[Word]] = []
 
-    # the two axis components are single spread elements
+    # the two axis components are single spread elements; their classes are
+    # read from the words, as from the rows they would match by construction
     axis_ok = True
     for c in code.components:
         if c.kind in ("A1", "A2"):
-            pts = orbit_points(ctx, c, per)
+            pts = frozenset(proj_normalize(ctx, w, per) for w in c.words)
             axis_ok &= spread[proj_normalize(ctx, c.orbit_rep)] == pts
             used_elements.append(pts)
 

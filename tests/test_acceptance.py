@@ -15,7 +15,7 @@ from dickson_mrd import codes as cd
 from dickson_mrd import geometry as ge
 from dickson_mrd import linforms as lf
 from dickson_mrd.gfield import make_field
-from dickson_mrd.linalg import mat_rank, mat_vec
+from dickson_mrd.linalg import fq_rank, mat_rank, mat_vec
 
 SUBSAMPLE_SEED = 0xACCE
 
@@ -91,12 +91,11 @@ def test_criterion_4_cardinalities():
         label = f"q{q}m{m}"
         sizes_ok = True
         for a in ctx.fq_elems[1:]:
-            sizes_ok &= len(cd.build_pi(ctx, a)) == big
-            sizes_ok &= len(cd.build_J(ctx, a)) == big
+            sizes_ok &= len(cd.kind_component(ctx, "PI", a).words) == big
+            sizes_ok &= len(cd.kind_component(ctx, "J", a).words) == big
         checks[f"{label}_pi_j_sizes"] = sizes_ok
-        checks[f"{label}_axis_sizes"] = (
-            len(cd.build_axis(ctx, 1)) == n and len(cd.build_axis(ctx, 2)) == n
-        )
+        checks[f"{label}_axis_sizes"] = all(
+            len(cd.kind_component(ctx, axis).words) == n for axis in ("A1", "A2"))
         valid = [a for a in ctx.fq_elems[1:] if a != 1]
         fam = cd.build_family(ctx, [valid[0]])
         checks[f"{label}_family_dedup"] = fam.size == q ** (2 * m)
@@ -131,12 +130,12 @@ def test_criterion_5_pairwise_rank_floors(f27, f64):
     t0 = time.time()
     m = f27.m
     floor = m - 1
-    pi1 = sorted(cd.build_pi(f27, 1))
-    pi2 = sorted(cd.build_pi(f27, 2))
-    j1 = sorted(cd.build_J(f27, 1))
-    j2 = sorted(cd.build_J(f27, 2))
-    a1 = sorted(cd.build_axis(f27, 1))
-    a2 = sorted(cd.build_axis(f27, 2))
+    pi1 = sorted(cd.kind_component(f27, "PI", 1).words)
+    pi2 = sorted(cd.kind_component(f27, "PI", 2).words)
+    j1 = sorted(cd.kind_component(f27, "J", 1).words)
+    j2 = sorted(cd.kind_component(f27, "J", 2).words)
+    a1 = sorted(cd.kind_component(f27, "A1").words)
+    a2 = sorted(cd.kind_component(f27, "A2").words)
     checks = {
         "pi1_rank_one": all(lf.rank(f27, w) == 1 for w in pi1),
         "pi_pairs": _floor_all(f27, pi2, pi2, floor, distinct=True),
@@ -164,9 +163,9 @@ def test_criterion_5_pairwise_rank_floors(f27, f64):
     om, om2 = f64.fq_elems[2], f64.fq_elems[3]
     reps_pi = {a: cd.pi_generator(f64, a) for a in (om, om2)}
     reps_j = {b: cd.j_generator(f64, b) for b in f64.fq_elems[1:]}
-    pis = {a: sorted(cd.build_pi(f64, a)) for a in (om, om2)}
-    js = {b: sorted(cd.build_J(f64, b)) for b in f64.fq_elems[1:]}
-    axes = sorted(cd.build_axis(f64, 1)) + sorted(cd.build_axis(f64, 2))
+    pis = {a: sorted(cd.kind_component(f64, "PI", a).words) for a in (om, om2)}
+    js = {b: sorted(cd.kind_component(f64, "J", b).words) for b in f64.fq_elems[1:]}
+    axes = [w for axis in ("A1", "A2") for w in sorted(cd.kind_component(f64, axis).words)]
     q4 = True
     for a in (om, om2):
         q4 &= all(
@@ -202,7 +201,7 @@ def test_criterion_6_gabidulin_baseline(f27):
 
 def test_criterion_7_geometry_suite(f27):
     t0 = time.time()
-    spread = ge.spread_partition(f27)
+    spread = ge.spread_partition(f27).values()
     segre = ge.segre_points(f27)
 
     _, cinv = ge.singer_change_of_basis(f27)
@@ -214,7 +213,7 @@ def test_criterion_7_geometry_suite(f27):
             continue
         count += 1
         u = mat_vec(f27, cinv, w)
-        if mat_rank(f27, ge.cyclic_reduce(f27, w)) != ge.tensor_rank(
+        if mat_rank(f27, ge.cyclic_reduce(f27, w)) != fq_rank(
             f27, ge.field_reduce(f27, u)
         ):
             rank_equal = False
@@ -223,7 +222,7 @@ def test_criterion_7_geometry_suite(f27):
     spr = ge.verify_spread_decomposition(fam)
     red = ge.verify_reduction_equivalence(f27, ge.reduction_sample(f27, 10000))
     checks = {
-        "spread_757x13": len(spread) == 757 and all(len(e.points) == 13 for e in spread),
+        "spread_757x13": len(spread) == 757 and all(len(pts) == 13 for pts in spread),
         "segre_169": len(segre) == 169,
         "rank_equality_all_19682": rank_equal and count == 19682,
         "projective_decomposition": proj.ok,
@@ -249,16 +248,17 @@ def test_criterion_8_curve_family_suite(f27, f64, f125):
             inv_a = ctx.inv(a)
             maps_ok &= frozenset(
                 cf.theta(ctx, w) for w in orbits["GAMMA", a].words
-            ) == cd.build_pi(ctx, inv_a)
+            ) == cd.kind_component(ctx, "PI", inv_a).words
             maps_ok &= frozenset(
                 cf.theta(ctx, w) for w in orbits["Z", a].words
-            ) == cd.build_J(ctx, inv_a)
+            ) == cd.kind_component(ctx, "J", inv_a).words
         checks[f"{label}_component_maps"] = maps_ok
     w_line = ge.line_through(f27, (1, 0, 0), (0, 0, 1))
     splash = ge.exterior_splash(
-        f27, ge.proj_image(f27, cd.build_pi(f27, 2)), w_line
+        f27, ge.proj_image(f27, cd.kind_component(f27, "PI", 2).words), w_line
     )
-    checks["pi2_splash_is_j1"] = splash == ge.proj_image(f27, cd.build_J(f27, 1))
+    j1_image = ge.proj_image(f27, cd.kind_component(f27, "J", 1).words)
+    checks["pi2_splash_is_j1"] = splash == j1_image
     erratum = cf.verify_curve_splash(cf.Orbits(f27), 2)
     checks["erratum_norm_fiber_2"] = (
         erratum.splash_is_norm_fiber and erratum.expected_norm_value == "2"

@@ -509,8 +509,8 @@ def test_cmp_and_splash_build_each_component_once(capsys, monkeypatch, argv, bui
 
 
 @pytest.mark.parametrize("argv, name, calls", [
-    (["cmp", "--p", "5", "--set", "2,3"], "theta", 31125),
-    (["cmp", "--p", "2", "--h", "2", "--set", "g21"], "theta", 8128),
+    (["cmp", "--p", "5", "--set", "2,3"], "theta", 624),
+    (["cmp", "--p", "2", "--h", "2", "--set", "g21"], "theta", 319),
     (["splash", "--p", "5", "--a", "4"], "exterior_splash", 2),
     (["geometry", "--p", "5", "--m", "3", "--set", "2", "--sample", "10"],
      "spread_element_points", 93),
@@ -519,8 +519,12 @@ def test_cmp_and_splash_build_each_component_once(capsys, monkeypatch, argv, bui
 ])
 def test_each_theta_image_splash_and_spread_line_is_derived_once(capsys, monkeypatch,
                                                                  argv, name, calls):
-    # cmp maps each curve word once and theta carries 31 (resp. 21) splash
-    # points per a; splash at a = 1/a splashes pi(a) once; geometry builds
+    # cmp maps each point p of a curve component once, and g p once to check
+    # that theta is semilinear there: 31 (resp. 21) points for each gamma
+    # and Z component at every nonzero a, one for each axis; theta also
+    # carries 31 (resp. 21) splash points per a.  At p = 5 that is
+    # 2 (8 * 31 + 2) + 4 * 31 = 624, at q = 4 2 (6 * 21 + 2) + 3 * 21 = 319.
+    # splash at a = 1/a splashes pi(a) once; geometry builds
     # each spread line once: 93 hyperregulus lines at p = 5, and at p = 3
     # the 757 lines of the full spread plus 13 hyperregulus lines
     counted = []
@@ -530,6 +534,24 @@ def test_each_theta_image_splash_and_spread_line_is_derived_once(capsys, monkeyp
                                 counted.append(a) or f(*a))
     code, _, _ = run(capsys, *argv)
     assert code == 0 and len(counted) == calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["cmp", "--p", "5", "--set", "2,3"],
+    ["cmp", "--p", "2", "--h", "2", "--set", "g21"],
+    ["splash", "--p", "5", "--a", "4"],
+])
+def test_cmp_and_splash_build_no_word_set(capsys, monkeypatch, argv):
+    # every report reads points from the rows, so no row-built component of
+    # the command's store closes its word set
+    stores = []
+    orbits = cf.Orbits
+    monkeypatch.setattr(cf, "Orbits", lambda ctx: stores.append(orbits(ctx)) or stores[-1])
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(stores) == 1
+    nonzero = [c for c in stores[0].values() if c.kind != "ZERO"]
+    assert nonzero and all(c.rows is not None for c in nonzero)
+    assert not any("words" in vars(c) for c in nonzero)
 
 
 def test_cmp_exits_one_when_theta_sends_a_word_outside_the_family(capsys, monkeypatch, f27):

@@ -1,12 +1,15 @@
 import gc
 import itertools
+import json
 import weakref
 
 import pytest
 
+from dickson_mrd import cli
 from dickson_mrd import cmp_family as cf
 from dickson_mrd import codes as cd
 from dickson_mrd import geometry as ge
+from dickson_mrd import linforms as lf
 
 
 def curve_words(ctx, kind, a=None):
@@ -61,7 +64,7 @@ def test_component_parameter_validation(f27, f81):
 # ----------------------------------------------------------------------
 
 def test_curve_is_the_union_of_components(f27):
-    union = set(cd.build_axis(f27, 1)) | set(curve_words(f27, "A2P"))
+    union = set(cd.kind_component(f27, "A1").words) | set(curve_words(f27, "A2P"))
     for a in f27.fq_elems[1:]:
         union |= curve_words(f27, "GAMMA", a)
     img = ge.proj_image(f27, union)
@@ -142,9 +145,9 @@ def test_theta_maps_components_for_every_parameter(fixture, request):
     for a in ctx.fq_elems[1:]:
         inv_a = ctx.inv(a)
         mapped_gamma = frozenset(cf.theta(ctx, w) for w in curve_words(ctx, "GAMMA", a))
-        assert mapped_gamma == cd.build_pi(ctx, inv_a)
+        assert mapped_gamma == cd.kind_component(ctx, "PI", inv_a).words
         mapped_z = frozenset(cf.theta(ctx, w) for w in curve_words(ctx, "Z", a))
-        assert mapped_z == cd.build_J(ctx, inv_a)
+        assert mapped_z == cd.kind_component(ctx, "J", inv_a).words
 
 
 @pytest.mark.parametrize("fixture", ["f27", "f64", "f125"])
@@ -160,17 +163,83 @@ def test_orbit_points_equal_the_projective_image(fixture, request):
         assert ge.orbit_points(ctx, comp, s) == classes
 
 
+def _word_filter(ctx, comp, index):
+    """The points of an orbit by its words: those whose leading log is
+    below index."""
+    log = ctx.log
+    return frozenset(w for w in comp.words if 0 <= log[next(filter(None, w), 0)] < index)
+
+
+@pytest.mark.parametrize("fixture", ["f27", "f64", "f125", "f81"])
+def test_orbit_points_from_rows_equal_the_word_filter(fixture, request):
+    # every component of the Dickson-model registry, and for m = 3 of the
+    # curve-model one, at every nonzero parameter
+    ctx = request.getfixturevalue(fixture)
+    for kinds in [cd.KINDS] + ([cf.CURVE_KINDS] if ctx.m == 3 else []):
+        first, second, *rest = kinds
+        comps = [cd.kind_component(ctx, kind, a, kinds)
+                 for kind in (first, second) for a in ctx.fq_elems[1:]]
+        comps += [cd.kind_component(ctx, kind, None, kinds) for kind in rest if kind != "ZERO"]
+        for comp in comps:
+            indices = (1, ctx.subfield_index)
+            points = [ge.orbit_points(ctx, comp, index) for index in indices]
+            assert comp.rows is not None and "words" not in vars(comp)
+            for index, pts in zip(indices, points):
+                assert pts == _word_filter(ctx, comp, index), (comp.kind, comp.a, index)
+
+
+@pytest.mark.parametrize("fixture", ["f27", "f64", "f125"])
+def test_theta_images_from_points_equal_the_normalized_word_images(fixture, request):
+    ctx = request.getfixturevalue(fixture)
+    orbits = cf.Orbits(ctx)
+    for kind in cf.CURVE_KINDS:
+        for a in ctx.fq_elems[1:] if kind in ("GAMMA", "Z") else [None]:
+            comp = orbits[kind, a]
+            by_words = ge.proj_image(ctx, (cf.theta(ctx, w) for w in comp.words))
+            assert orbits.image(comp) == by_words, (kind, a)
+
+
+_theta = cf.theta
+
+
+def _theta_without_frobenius(ctx, v):
+    """theta with no q^2 power: a coordinate permutation, F_{q^3}-linear."""
+    return (v[1], v[2], v[0])
+
+
+def _theta_linear_on_each_line(ctx, v):
+    """theta on the points of PG(2, q^3), extended F_{q^3}-linearly to their
+    multiples: the right point images, the wrong word images."""
+    if not any(v):
+        return (0, 0, 0)
+    lead = next(filter(None, v))
+    return lf.word_scale(ctx, lead, _theta(ctx, ge.proj_normalize(ctx, v)))
+
+
+@pytest.mark.parametrize("broken", [_theta_without_frobenius, _theta_linear_on_each_line])
+def test_a_theta_that_is_not_semilinear_fails_every_comparison(f27, monkeypatch, capsys, broken):
+    monkeypatch.setattr(cf, "theta", broken)
+    orbits = cf.Orbits(f27)
+    maps = cf.verify_component_maps(orbits)
+    assert not any(v["gamma_to_pi"] or v["z_to_j"] for v in maps.values())
+    rep = cf.verify_family_match(orbits, [2])
+    assert not any(ok for tag, ok in rep.component_matches.items() if tag != "ZERO")
+    assert rep.set_equal is False and rep.ok is False
+    assert cli.main(["cmp", "--p", "3", "--set", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
 def test_orbit_points_need_an_orbit(f27):
-    comp = cd.Component("OTHER", None, cd.build_pi(f27, 1))
+    comp = cd.Component("OTHER", None, cd.kind_component(f27, "PI", 1).words)
     with pytest.raises(ValueError, match="not a single orbit"):
         ge.orbit_points(f27, comp)
 
 
 def test_theta_swaps_the_axes(f27):
-    a1 = cd.build_axis(f27, 1)
+    a1 = cd.kind_component(f27, "A1").words
     a2p = curve_words(f27, "A2P")
-    assert frozenset(cf.theta(f27, w) for w in a1) == cd.build_axis(f27, 2)
-    assert frozenset(cf.theta(f27, w) for w in a2p) == cd.build_axis(f27, 1)
+    assert frozenset(cf.theta(f27, w) for w in a1) == cd.kind_component(f27, "A2").words
+    assert frozenset(cf.theta(f27, w) for w in a2p) == cd.kind_component(f27, "A1").words
 
 
 # ----------------------------------------------------------------------
@@ -214,15 +283,15 @@ def test_family_match_sees_one_word_mapped_outside_the_family(f27, monkeypatch):
 
 
 def test_orbits_holds_no_second_copy_of_an_orbit_and_no_reference_cycle(f27):
-    # a matching theta-image is held as its partner's words, and the store
-    # is freed by reference counting alone
+    # the reports read points, so no row-built component closes its word
+    # set, and the store is freed by reference counting alone
     orbits = cf.Orbits(f27)
+    cf.verify_family_match(orbits, [2])
     cf.verify_component_maps(orbits)
     cf.verify_curve_splash(orbits, 2)
-    for a in f27.fq_elems[1:]:
-        for kind in ("GAMMA", "Z"):
-            partner = orbits[cf.theta_partner(f27, kind, a)].words
-            assert orbits.image(orbits[kind, a]) is partner
+    rowed = [c for c in orbits.values() if c.rows is not None]
+    assert len(rowed) == len(orbits) - 1 == 11
+    assert not any("words" in vars(c) for c in rowed)
     store = weakref.ref(orbits)
     gc.disable()
     try:

@@ -41,21 +41,21 @@ def brute_J(ctx, b, which_alpha=0):
 # ----------------------------------------------------------------------
 
 def test_build_pi_sizes_and_disjointness(f27):
-    pi1 = cd.build_pi(f27, 1)
-    pi2 = cd.build_pi(f27, 2)
+    pi1 = cd.kind_component(f27, "PI", 1).words
+    pi2 = cd.kind_component(f27, "PI", 2).words
     assert len(pi1) == 338 and len(pi2) == 338
     assert not (pi1 & pi2)
 
 
 def test_build_pi_matches_enumeration_oracle(f27, f64):
-    assert set(cd.build_pi(f27, 2)) == brute_pi(f27, 2)
+    assert set(cd.kind_component(f27, "PI", 2).words) == brute_pi(f27, 2)
     omega = f64.fq_elems[2]
-    assert set(cd.build_pi(f64, omega)) == brute_pi(f64, omega)
+    assert set(cd.kind_component(f64, "PI", omega).words) == brute_pi(f64, omega)
 
 
 def test_build_pi_is_independent_of_alpha_choice(f27):
     # rebuild from every element of the norm fiber: same set (norm determines it)
-    target = cd.build_pi(f27, 2)
+    target = cd.kind_component(f27, "PI", 2).words
     q, m = f27.q, f27.m
     for alpha in f27.norm_fiber(2):
         rebuilt = set()
@@ -70,12 +70,12 @@ def test_build_pi_is_independent_of_alpha_choice(f27):
 
 
 def test_pi_one_has_rank_one(f27):
-    assert all(lf.rank(f27, w) == 1 for w in cd.build_pi(f27, 1))
+    assert all(lf.rank(f27, w) == 1 for w in cd.kind_component(f27, "PI", 1).words)
 
 
 def test_build_J_sizes_shape_ranks(f27):
-    j1 = cd.build_J(f27, 1)
-    j2 = cd.build_J(f27, 2)
+    j1 = cd.kind_component(f27, "J", 1).words
+    j2 = cd.kind_component(f27, "J", 2).words
     assert len(j1) == 338 and len(j2) == 338
     for w in j1 | j2:
         assert all(c == 0 for c in w[1:-1])
@@ -83,29 +83,27 @@ def test_build_J_sizes_shape_ranks(f27):
 
 
 def test_build_J_matches_enumeration_oracle_any_alpha(f27):
-    target = set(cd.build_J(f27, 2))
+    target = set(cd.kind_component(f27, "J", 2).words)
     for which in range(3):
         assert brute_J(f27, 2, which) == target
 
 
 def test_component_params_must_be_nonzero_subfield(f27, f64):
     with pytest.raises(ValueError):
-        cd.build_pi(f27, 0)
+        cd.kind_component(f27, "PI", 0).words
     with pytest.raises(ValueError):
-        cd.build_J(f27, 0)
+        cd.kind_component(f27, "J", 0).words
     outside = next(x for x in f64.exp if not f64.in_fq(x))
     with pytest.raises(ValueError):
-        cd.build_pi(f64, outside)
+        cd.kind_component(f64, "PI", outside).words
 
 
 def test_build_axis(f27):
-    a1 = cd.build_axis(f27, 1)
-    a2 = cd.build_axis(f27, 2)
+    a1 = cd.kind_component(f27, "A1").words
+    a2 = cd.kind_component(f27, "A2").words
     assert len(a1) == 26 and len(a2) == 26
     assert not (a1 & a2)
     assert all(lf.rank(f27, w) == f27.m for w in a1 | a2)
-    with pytest.raises(ValueError):
-        cd.build_axis(f27, 3)
 
 
 # ----------------------------------------------------------------------
@@ -211,7 +209,7 @@ def test_gabidulin_full_space(f27):
     code = cd.build_gabidulin(f27, 0)
     assert code.size == 3 ** 9
     # distance 1 by witness: zero word and a rank-1 word both lie in the code
-    w = next(iter(cd.build_pi(f27, 1)))
+    w = next(iter(cd.kind_component(f27, "PI", 1).words))
     assert (0, 0, 0) in code.words and w in code.words
     assert lf.rank(f27, w) == 1
 
@@ -461,11 +459,11 @@ def test_rank_floors_orbit_reduced_q3_m4(f81):
     ctx = f81
     m = ctx.m
     floor = m - 1
-    pi2 = cd.build_pi(ctx, 2)
-    j1 = cd.build_J(ctx, 1)
-    j2 = cd.build_J(ctx, 2)
-    a1 = cd.build_axis(ctx, 1)
-    a2 = cd.build_axis(ctx, 2)
+    pi2 = cd.kind_component(ctx, "PI", 2).words
+    j1 = cd.kind_component(ctx, "J", 1).words
+    j2 = cd.kind_component(ctx, "J", 2).words
+    a1 = cd.kind_component(ctx, "A1").words
+    a2 = cd.kind_component(ctx, "A2").words
     rep_pi2 = cd.pi_generator(ctx, 2)
     rep_j1 = cd.j_generator(ctx, 1)
     rep_j2 = cd.j_generator(ctx, 2)

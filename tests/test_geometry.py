@@ -6,7 +6,7 @@ import pytest
 from dickson_mrd import codes as cd
 from dickson_mrd import geometry as ge
 from dickson_mrd import linforms as lf
-from dickson_mrd.linalg import mat_mul, mat_rank, mat_vec
+from dickson_mrd.linalg import fq_rank, mat_mul, mat_rank, mat_vec
 from reference import encode, ref_mul, ref_pow
 
 
@@ -54,9 +54,9 @@ def j_subspace_basis(ctx, a):
 # ----------------------------------------------------------------------
 
 def test_proj_image_sizes(f27):
-    assert len(ge.proj_image(f27, cd.build_pi(f27, 1))) == 13
-    assert len(ge.proj_image(f27, cd.build_axis(f27, 1))) == 1
-    j1 = ge.proj_image(f27, cd.build_J(f27, 1))
+    assert len(ge.proj_image(f27, cd.kind_component(f27, "PI", 1).words)) == 13
+    assert len(ge.proj_image(f27, cd.kind_component(f27, "A1").words)) == 1
+    j1 = ge.proj_image(f27, cd.kind_component(f27, "J", 1).words)
     assert len(j1) == 13
     w_line = ge.line_through(f27, (1, 0, 0), (0, 0, 1))
     assert len(w_line) == 28
@@ -131,13 +131,13 @@ def test_tau_identity(f27):
 @pytest.mark.parametrize("fixture", ["f27", "f64"])
 def test_tau_maps_components(fixture, request):
     ctx = request.getfixturevalue(fixture)
-    pi1 = cd.build_pi(ctx, 1)
-    j1 = cd.build_J(ctx, 1)
+    pi1 = cd.kind_component(ctx, "PI", 1).words
+    j1 = cd.kind_component(ctx, "J", 1).words
     for a in ctx.fq_elems[1:]:
         alpha = ctx.norm_fiber(a)[0]
-        assert {ge.tau(ctx, alpha, w) for w in pi1} == set(cd.build_pi(ctx, a))
+        assert {ge.tau(ctx, alpha, w) for w in pi1} == set(cd.kind_component(ctx, "PI", a).words)
         b = ctx.pow(a, ctx.m - 1)
-        assert {ge.tau(ctx, alpha, w) for w in j1} == set(cd.build_J(ctx, b))
+        assert {ge.tau(ctx, alpha, w) for w in j1} == set(cd.kind_component(ctx, "J", b).words)
 
 
 # ----------------------------------------------------------------------
@@ -156,11 +156,11 @@ def test_field_reduce_of_fq_tuples_has_rank_one(f27):
         if not any(v):
             continue
         t = ge.field_reduce(f27, tuple(f27.fq_elem(c) for c in v))
-        assert ge.tensor_rank(f27, t) == 1
+        assert fq_rank(f27, t) == 1
     # and F_{q^m}-multiples of such tuples keep rank one
     lam = f27.g
     t = ge.field_reduce(f27, tuple(f27.mul(lam, f27.fq_elem(c)) for c in (1, 2, 0)))
-    assert ge.tensor_rank(f27, t) == 1
+    assert fq_rank(f27, t) == 1
 
 
 def dependency_space_dim(ctx, v):
@@ -189,7 +189,7 @@ def test_field_reduce_rank_equals_vector_rank(f27):
         if not any(v):
             continue
         expect = f27.m - dependency_space_dim(f27, v)
-        assert ge.tensor_rank(f27, ge.field_reduce(f27, v)) == expect
+        assert fq_rank(f27, ge.field_reduce(f27, v)) == expect
 
 
 def test_cyclic_reduce_zero_and_rank_one(f27):
@@ -251,13 +251,13 @@ def test_reduction_sample_is_deterministic(f27):
 # ----------------------------------------------------------------------
 
 def test_spread_partition_q3_m3(f27):
-    spread = ge.spread_partition(f27)
+    spread = ge.spread_partition(f27).values()
     assert len(spread) == 757
-    assert all(len(el.points) == 13 for el in spread)
+    assert all(len(pts) == 13 for pts in spread)
     union = set()
-    for el in spread:
-        assert not (union & el.points)
-        union |= el.points
+    for pts in spread:
+        assert not (union & pts)
+        union |= pts
     assert len(union) == (3 ** 9 - 1) // 2
 
 
@@ -285,7 +285,7 @@ def test_segre_points_count_and_membership(f27):
     seg = ge.segre_points(f27)
     assert len(seg) == 169
     _, cinv = ge.singer_change_of_basis(f27)
-    for w in cd.build_pi(f27, 1):
+    for w in cd.kind_component(f27, "PI", 1).words:
         u = mat_vec(f27, cinv, w)
         assert ge.tensor_normalize(f27, ge.field_reduce(f27, u)) in seg
 
@@ -293,7 +293,8 @@ def test_segre_points_count_and_membership(f27):
 def test_segre_word_classes(f27):
     sw = ge.segre_word_classes(f27)
     assert len(sw) == 169
-    assert sw == frozenset(ge.proj_normalize(f27, w, 13) for w in cd.build_pi(f27, 1))
+    pi1 = cd.kind_component(f27, "PI", 1).words
+    assert sw == frozenset(ge.proj_normalize(f27, w, 13) for w in pi1)
     for w in sw:
         assert lf.rank(f27, w) == 1
 
@@ -333,7 +334,7 @@ def test_hyperregulus_reports(f27):
 
 
 def test_hyperregulus_members_are_spread_elements(f27):
-    spread_sets = {el.points for el in ge.spread_partition(f27)}
+    spread_sets = set(ge.spread_partition(f27).values())
     for a in (1, 2):
         rep = ge.hyperregulus(f27, cd.kind_component(f27, "J", a))
         for member in rep.members:
@@ -435,10 +436,10 @@ def test_cyclic_summands_span(f27, f64):
 
 def test_splash_of_pi_components_on_w_line(f27):
     w_line = ge.line_through(f27, (1, 0, 0), (0, 0, 1))
-    j1 = ge.proj_image(f27, cd.build_J(f27, 1))
+    j1 = ge.proj_image(f27, cd.kind_component(f27, "J", 1).words)
     for a in (1, 2):
         # a^(m-1) = a^2 = 1 in F_3 for both a
-        img = ge.proj_image(f27, cd.build_pi(f27, a))
+        img = ge.proj_image(f27, cd.kind_component(f27, "PI", a).words)
         splash = ge.exterior_splash(f27, img, w_line)
         assert len(splash) == 13
         assert splash == j1
@@ -450,10 +451,10 @@ def test_splash_parameter_map(fixture, request):
     ctx = request.getfixturevalue(fixture)
     w_line = ge.line_through(ctx, (1, 0, 0), (0, 0, 1))
     for a in ctx.fq_elems[1:]:
-        img = ge.proj_image(ctx, cd.build_pi(ctx, a))
+        img = ge.proj_image(ctx, cd.kind_component(ctx, "PI", a).words)
         splash = ge.exterior_splash(ctx, img, w_line)
         b = ctx.pow(a, ctx.m - 1)
-        assert splash == ge.proj_image(ctx, cd.build_J(ctx, b))
+        assert splash == ge.proj_image(ctx, cd.kind_component(ctx, "J", b).words)
 
 
 def test_splash_rejects_non_plane(f81):
@@ -464,7 +465,7 @@ def test_splash_rejects_non_plane(f81):
 
 def test_splash_rejects_meeting_line(f27):
     w_line = ge.line_through(f27, (1, 0, 0), (0, 0, 1))
-    sub = ge.proj_image(f27, cd.build_pi(f27, 1)) | {(1, 0, 0)}
+    sub = ge.proj_image(f27, cd.kind_component(f27, "PI", 1).words) | {(1, 0, 0)}
     with pytest.raises(ValueError, match="meets"):
         ge.exterior_splash(f27, sub, w_line)
 
@@ -472,7 +473,7 @@ def test_splash_rejects_meeting_line(f27):
 def test_splash_rejects_non_line(f27):
     bad = frozenset({(1, 0, 0), (0, 0, 1), (1, 1, 1)})
     with pytest.raises(ValueError, match="not a line"):
-        ge.exterior_splash(f27, ge.proj_image(f27, cd.build_pi(f27, 1)), bad)
+        ge.exterior_splash(f27, ge.proj_image(f27, cd.kind_component(f27, "PI", 1).words), bad)
 
 
 def test_dickson_side_subchecks_q4(f64):
@@ -500,7 +501,8 @@ def test_pi_images_pairwise_disjoint_all_parameters(f27, f64):
     # word-level disjointness plus scalar closure makes the point sets
     # disjoint too; assert it directly at the point level
     for ctx in (f27, f64):
-        images = [ge.proj_image(ctx, cd.build_pi(ctx, a)) for a in ctx.fq_elems[1:]]
+        images = [ge.proj_image(ctx, cd.kind_component(ctx, "PI", a).words)
+                  for a in ctx.fq_elems[1:]]
         assert ge.all_disjoint(images)
 
 
@@ -509,7 +511,7 @@ def test_j_images_on_line_all_parameters(f27, f64):
         m = ctx.m
         line = ge.line_through(ctx, (1,) + (0,) * (m - 1), (0,) * (m - 1) + (1,))
         for b in ctx.fq_elems[1:]:
-            img = ge.proj_image(ctx, cd.build_J(ctx, b))
+            img = ge.proj_image(ctx, cd.kind_component(ctx, "J", b).words)
             assert img <= line
             assert len(img) == (ctx.order - 1) // (ctx.q - 1)
 
@@ -529,7 +531,7 @@ def test_decomposition_reports_reject_one_in_I(f27, check):
 def test_reduction_check_counts_both_failures_on_every_vector(f27, monkeypatch):
     sample = ge.reduction_sample(f27, 20)
     with monkeypatch.context() as mp:
-        mp.setattr(ge, "tensor_rank", lambda ctx, t: -1)
+        mp.setattr(ge, "fq_rank", lambda ctx, t: -1)
         rep = ge.verify_reduction_equivalence(f27, sample)
     assert (rep.checked, rep.congruence_failures, rep.rank_failures) == (20, 0, 20)
     with monkeypatch.context() as mp:
