@@ -281,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(sp)
     sp.add_argument("--set", default="", help="parameter set I")
     sp.add_argument("--sample", type=int, default=10000,
-                    help="sample size for the reduction-equivalence check")
+                    help="sample size the reduction-equivalence report names as "
+                         "checked; the identity is proved on a basis, so the sample "
+                         "is evaluated only when that proof fails")
     sp.add_argument("--points", action="store_true",
                     help="include the component point sets as coordinate lists")
     sp.add_argument("--out")

@@ -46,13 +46,10 @@ import itertools
 import os
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from typing import (Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
-
-import multiprocessing
 
 from .gfield import FieldCtx
 from .linforms import (
@@ -450,6 +447,10 @@ def _all_pairs(code: RankCode, source: str, mode: str, threads: int):
     try:
         if workers == 1:
             return [_stripe((mode, 0, 1))]
+        # imported here: the pool modules would add about a quarter to the package import
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         mp = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=mp) as ex:
             return list(ex.map(_stripe, [(mode, k, workers) for k in range(workers)]))
@@ -487,12 +488,15 @@ def distance_distribution(code: RankCode, threads: int = 1) -> Dict[int, int]:
 
 
 class Report:
-    """Base of the frozen report dataclasses.  `as_dict` gives every field,
-    a nested report as its own dict, and `ok` where the type defines it."""
+    """Base of the frozen report dataclasses.  `as_dict` gives every field
+    but those with `metadata={"json": False}`, a nested report as its own
+    dict, and `ok` where the type defines it."""
 
     def as_dict(self) -> dict:
         out = {}
         for f in fields(self):
+            if not f.metadata.get("json", True):
+                continue
             value = getattr(self, f.name)
             out[f.name] = value.as_dict() if isinstance(value, Report) else value
         if hasattr(type(self), "ok"):

@@ -1,4 +1,8 @@
+import concurrent.futures
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -288,7 +292,7 @@ class _InlinePool:
 
 
 def test_scan_workers_capped_at_cpu_count(f27, monkeypatch):
-    monkeypatch.setattr(cd, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cd.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     fam = cd.build_family(f27, [2])
@@ -296,6 +300,18 @@ def test_scan_workers_capped_at_cpu_count(f27, monkeypatch):
     assert cd.min_distance(fam, "orbit", threads=64) == 2
     assert cd.distance_distribution(gab, threads=1000) == cd.distance_distribution(gab)
     assert _InlinePool.sizes == [2, 2]
+
+
+def test_package_import_loads_no_process_pool():
+    # the benchmark harness's import probe, in a fresh interpreter: the pool
+    # modules are imported only by a scan that forks
+    src = os.path.dirname(os.path.dirname(cd.__file__))
+    probe = ("import sys; "
+             "import dickson_mrd, dickson_mrd.cli, dickson_mrd.geometry, dickson_mrd.cmp_family; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def _count_calls(monkeypatch, name):
@@ -328,7 +344,7 @@ def test_orbit_workers_each_take_a_disjoint_share_of_the_words(f27, monkeypatch)
     seen = {}
     monkeypatch.setattr(cd, "linmap_fq_matrix",
                         lambda ctx, w: seen.setdefault(worker[0], []).append(w) or matrix(ctx, w))
-    monkeypatch.setattr(cd, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cd.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     assert cd.min_distance(fam, "orbit", threads=2) == serial == 2

@@ -1,12 +1,14 @@
 import itertools
+import json
 import random
 
 import pytest
 
+from dickson_mrd import cli
 from dickson_mrd import codes as cd
 from dickson_mrd import geometry as ge
 from dickson_mrd import linforms as lf
-from dickson_mrd.linalg import fq_rank, mat_mul, mat_rank, mat_vec
+from dickson_mrd.linalg import fq_rank, mat_mul, mat_rank, mat_transpose, mat_vec
 from reference import encode, ref_mul, ref_pow
 
 
@@ -244,6 +246,101 @@ def test_reduction_equivalence_sampled_q4(f64):
 
 def test_reduction_sample_is_deterministic(f27):
     assert ge.reduction_sample(f27, 50) == ge.reduction_sample(f27, 50)
+
+
+@pytest.mark.parametrize("fixture", ["f27", "f64", "f125", "f81"])
+def test_both_reduction_routes_are_fq_linear(fixture, request):
+    # the premise of the basis proof: additivity and F_q-scaling of
+    # cyclic_reduce and of field_reduce after C^-1, on random pairs
+    ctx = request.getfixturevalue(fixture)
+    _, cinv = ge.singer_change_of_basis(ctx)
+    rng = random.Random(5)
+    words = sample_words(ctx, 60, seed=5)
+    for w1, w2 in zip(words[::2], words[1::2]):
+        c = rng.randrange(ctx.q)
+        w_sum = tuple(ctx.add(a, b) for a, b in zip(w1, w2))
+        w_scaled = lf.word_scale(ctx, ctx.fq_elem(c), w1)
+        d1, d2 = ge.cyclic_reduce(ctx, w1), ge.cyclic_reduce(ctx, w2)
+        assert ge.cyclic_reduce(ctx, w_sum) == tuple(
+            tuple(map(ctx.add, r1, r2)) for r1, r2 in zip(d1, d2))
+        assert ge.cyclic_reduce(ctx, w_scaled) == tuple(
+            tuple(ctx.mul(ctx.fq_elem(c), e) for e in r) for r in d1)
+        x1, x2 = (ge.field_reduce(ctx, mat_vec(ctx, cinv, w)) for w in (w1, w2))
+        assert ge.field_reduce(ctx, mat_vec(ctx, cinv, w_sum)) == tuple(
+            tuple(ctx.fq_add[a][b] for a, b in zip(r1, r2)) for r1, r2 in zip(x1, x2))
+        assert ge.field_reduce(ctx, mat_vec(ctx, cinv, w_scaled)) == tuple(
+            tuple(ctx.fq_mul[c][a] for a in r) for r in x1)
+
+
+@pytest.mark.parametrize("fixture", ["f27", "f125", "f81"])
+def test_derived_reduction_report_equals_the_sample_loop(fixture, request):
+    # the independent route: both reductions of every vector of the CLI's
+    # default sample, with the rank kernels compared vector by vector
+    ctx = request.getfixturevalue(fixture)
+    sample = ge.reduction_sample(ctx, 10000)
+    c, cinv = ge.singer_change_of_basis(ctx)
+    bad_cong = 0
+    for w in sample:
+        d, x = ge._both_reductions(ctx, cinv, w)
+        bad_cong += not ge._congruent(ctx, c, d, x)
+        assert mat_rank(ctx, d) == fq_rank(ctx, x), w
+    assert ge.reduction_proved(ctx)
+    report = ge.verify_reduction_equivalence(ctx, sample)
+    assert report == ge.ReductionReport(10000, bad_cong, 0) == ge.ReductionReport(10000, 0, 0)
+    assert report.as_dict() == {"checked": 10000, "congruence_failures": 0,
+                                "rank_failures": 0, "ok": True}
+
+
+def _transposed_dickson(ctx, v):
+    return mat_transpose(lf.dickson(ctx, tuple(v)))
+
+
+def _one_wrong_cinv_entry(ctx):
+    c, cinv = _SINGER_CHANGE_OF_BASIS(ctx)
+    return c, ((ctx.add(cinv[0][0], 1),) + cinv[0][1:],) + cinv[1:]
+
+
+def _scaled_field_reduce(ctx, v):
+    return _FIELD_REDUCE(ctx, tuple(ctx.mul(ctx.g, x) for x in v))
+
+
+_SINGER_CHANGE_OF_BASIS, _FIELD_REDUCE = ge.singer_change_of_basis, ge.field_reduce
+REDUCTION_MUTATIONS = {
+    "transposed_dickson": ("cyclic_reduce", _transposed_dickson),
+    "wrong_cinv_entry": ("singer_change_of_basis", _one_wrong_cinv_entry),
+    "scaled_field_reduce": ("field_reduce", _scaled_field_reduce),
+}
+GEOMETRY_FIELDS = {
+    "f27": ["--p", "3", "--m", "3", "--set", "2"],
+    "f125": ["--p", "5", "--m", "3", "--set", "2"],
+    "f81": ["--p", "3", "--m", "4", "--set", "2"],
+}
+
+
+@pytest.mark.parametrize("mutation, fixture, congruence_failures, rank_failures", [
+    ("transposed_dickson", "f27", 192, 0),
+    ("transposed_dickson", "f125", 198, 0),
+    ("transposed_dickson", "f81", 200, 0),
+    ("wrong_cinv_entry", "f27", 193, 84),
+    ("wrong_cinv_entry", "f125", 198, 69),
+    ("wrong_cinv_entry", "f81", 195, 70),
+    ("scaled_field_reduce", "f27", 200, 0),
+    ("scaled_field_reduce", "f125", 200, 0),
+    ("scaled_field_reduce", "f81", 200, 0),
+])
+def test_broken_reduction_route_fails_the_proof_and_geometry(
+        mutation, fixture, congruence_failures, rank_failures, request, monkeypatch, capsys):
+    # the expected counts are what the per-vector loop alone gives on the
+    # same 200-vector sample
+    ctx = request.getfixturevalue(fixture)
+    monkeypatch.setattr(ge, *REDUCTION_MUTATIONS[mutation])
+    assert not ge.reduction_proved(ctx)
+    code = cli.main(["geometry", *GEOMETRY_FIELDS[fixture], "--sample", "200"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["ok"] is False
+    assert report["reduction_equivalence"] == {
+        "checked": 200, "congruence_failures": congruence_failures,
+        "rank_failures": rank_failures, "ok": False}
 
 
 # ----------------------------------------------------------------------
