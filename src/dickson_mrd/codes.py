@@ -25,12 +25,12 @@ its word set is built only on first use.  The stream multiplies nothing:
 with n = q^m - 1 and exp2 = exp + exp, the multiples g^0 c, ..., g^(n-1) c
 of a coordinate c != 0 are the window exp2[log c : log c + n], so each
 row's multiples are its coordinates' windows zipped together
-(`_row_multiples`).  Only the brute-force scans, save and three
-word-level checks of `geometry` hold a component's words at once; the
-orbit scan ranks each word's matrix as the stream yields it, and the
-point-level reports read each row's first few multiples, in O(rows)
-memory.  `build_family` is the one place a family is composed, from
-`KINDS` or from the curve-model registry of `cmp_family`.
+(`_row_multiples`).  Only the brute-force scans and save hold a
+component's words at once; the orbit scan ranks each word's matrix as the
+stream yields it, and every report of `geometry` reads each row's first
+few multiples (`geometry.orbit_points`), in O(rows) memory.
+`build_family` is the one place a family is composed, from `KINDS` or
+from the curve-model registry of `cmp_family`.
 
 A `RankCode` is its components: the scans, the loader and the reports read
 them, and the union `words` is built only on first use.  `disjoint_union`

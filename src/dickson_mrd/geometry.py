@@ -351,16 +351,14 @@ class HyperregulusReport:
         )
 
 
-def line_classes(ctx: FieldCtx, words: Iterable[Word]) -> Dict[ProjPoint, FrozenSet[Word]]:
-    """The F_q-classes of nonzero words grouped by the F_{q^m}-line they
-    span, keyed by the line's normalized point, in ascending key order."""
-    s, log, exp = ctx.subfield_index, ctx.log, ctx.exp
-    groups: Dict[ProjPoint, Set[int]] = {}
-    for w in words:
-        # w = g^k r for its point r, and its class is named g^(k mod s) r
-        groups.setdefault(proj_normalize(ctx, w), set()).add(log[next(filter(None, w))] % s)
-    return {r: frozenset(word_scale(ctx, exp[j], r) for j in js)
-            for r, js in sorted(groups.items())}
+def orbit_lines(ctx: FieldCtx, comp: Component) -> Dict[ProjPoint, FrozenSet[Word]]:
+    """The F_q-classes of a single orbit (`orbit_points` at index s) grouped
+    by the F_{q^m}-line they span, keyed by the line's normalized point, in
+    ascending key order."""
+    groups: Dict[ProjPoint, Set[Word]] = {}
+    for cls in orbit_points(ctx, comp, ctx.subfield_index):
+        groups.setdefault(proj_normalize(ctx, cls), set()).add(cls)
+    return {r: frozenset(pts) for r, pts in sorted(groups.items())}
 
 
 def hyperregulus(ctx: FieldCtx, component: Component) -> HyperregulusReport:
@@ -375,7 +373,7 @@ def hyperregulus(ctx: FieldCtx, component: Component) -> HyperregulusReport:
     Each spread line is built once, for the members and the fiber together.
     """
     a = component.a
-    groups = line_classes(ctx, component.words)
+    groups = orbit_lines(ctx, component)
     members = tuple(groups.values())
     target = ctx.neg(a) if ctx.m % 2 else a
     axis = (1,) + (0,) * (ctx.m - 2)
@@ -504,12 +502,11 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
 
     used_elements: List[FrozenSet[Word]] = []
 
-    # the two axis components are single spread elements; their classes are
-    # read from the words, as from the rows they would match by construction
+    # the two axis components are single spread elements
     axis_ok = True
     for c in code.components:
         if c.kind in ("A1", "A2"):
-            pts = frozenset(proj_normalize(ctx, w, per) for w in c.words)
+            pts = orbit_points(ctx, c, per)
             axis_ok &= spread[proj_normalize(ctx, c.orbit_rep)] == pts
             used_elements.append(pts)
 
@@ -519,7 +516,7 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
     segre_equiv = True
     image_in_spread = True
     for c in pis:
-        groups = line_classes(ctx, c.words)
+        groups = orbit_lines(ctx, c)
         image = frozenset().union(*groups.values())
         segre_counts[c.tag(ctx)] = len(image)
         alpha = ctx.norm_fiber(c.a)[0]
@@ -529,7 +526,7 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
             image_in_spread &= spread[rep] == pts
             used_elements.append(pts)
 
-    hyper, ja_in_span = _j_side_checks(ctx, js)
+    hyper, ja_in_span = _j_side_checks(code, js)
     for rep_report in hyper.values():
         used_elements.extend(rep_report.members)
 
@@ -547,12 +544,14 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
     )
 
 
-def _j_side_checks(ctx: FieldCtx, js: Sequence[Component]) -> Tuple[Dict[str, HyperregulusReport], bool]:
+def _j_side_checks(code: RankCode, js: Sequence[Component]) -> Tuple[Dict[str, HyperregulusReport], bool]:
     """The hyperregulus report of each J component, and whether the J and
     axis images live in the span of the two axis spread elements, i.e. on
-    words supported on the first and last coordinate."""
+    points (so words) supported on the first and last coordinate."""
+    ctx = code.ctx
     hyper = {c.tag(ctx): hyperregulus(ctx, c) for c in js}
-    ja_in_span = all(not any(w[1:-1]) for c in js for w in c.words)
+    ja = [c for c in code.components if c.kind in ("J", "A1", "A2")]
+    ja_in_span = all(not any(p[1:-1]) for c in ja for p in orbit_points(ctx, c))
     return hyper, ja_in_span
 
 
@@ -565,7 +564,7 @@ def dickson_side_subchecks(code: RankCode) -> dict:
     ctx = code.ctx
     per = ctx.subfield_index
     segre_ok = {c.tag(ctx): len(orbit_points(ctx, c, per)) == per * per for c in pis}
-    hyper, support_ok = _j_side_checks(ctx, js)
+    hyper, support_ok = _j_side_checks(code, js)
     hyper_ok = {tag: rep_report.ok for tag, rep_report in hyper.items()}
     return {
         "segre_class_counts": segre_ok,

@@ -554,6 +554,24 @@ def test_cmp_and_splash_build_no_word_set(capsys, monkeypatch, argv):
     assert not any("words" in vars(c) for c in nonzero)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "3", "--m", "3", "--set", "2", "--points"],
+    ["--p", "5", "--m", "3", "--set", "2"],
+    ["--p", "3", "--m", "4", "--set", "2"],
+])
+def test_geometry_builds_no_word_set(capsys, monkeypatch, argv):
+    # the projective and spread reports read every point through
+    # orbit_points, so no component of the family closes its word set
+    families = []
+    build = cli.build_family
+    monkeypatch.setattr(cli, "build_family", lambda *a: families.append(build(*a)) or families[-1])
+    code, _, _ = run(capsys, "geometry", *argv, "--sample", "100")
+    assert code == 0 and len(families) == 1
+    nonzero = [c for c in families[0].components if c.kind != "ZERO"]
+    assert nonzero and all(c.rows is not None for c in nonzero)
+    assert not any("words" in vars(c) for c in nonzero)
+
+
 def test_cmp_exits_one_when_theta_sends_a_word_outside_the_family(capsys, monkeypatch, f27):
     # (1, 1, 1) lies in pi(1), outside the Dickson-model family of I^-1 = {2}
     theta = cf.theta

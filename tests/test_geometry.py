@@ -34,6 +34,26 @@ def cut_one_class(ctx, fam, kind):
                        tuple(cut if c is comp else c for c in fam.components))
 
 
+def move_one_point(ctx, fam, kind, new=None):
+    """fam with one point (q^m - 1 words) of its first `kind` component
+    replaced by the point `new`, or cut when new is None; the component is
+    given as a word set and keeps its orbit_rep."""
+    comp = next(c for c in fam.components if c.kind == kind)
+    words = comp.words - {lf.word_scale(ctx, u, max(comp.words)) for u in ctx.exp}
+    if new is not None:
+        words |= {lf.word_scale(ctx, u, new) for u in ctx.exp}
+    moved = cd.Component(kind, comp.a, words, comp.orbit_rep)
+    return cd.RankCode(ctx, fam.claimed_distance,
+                       tuple(moved if c is comp else c for c in fam.components))
+
+
+def free_point(ctx, fam):
+    """A point of PG(m-1, q^m) off the first-last support and in no
+    component's image."""
+    taken = frozenset().union(*(pts for _, pts in ge.component_images(fam)))
+    return next(p for p in ge.proj_points_iter(ctx) if any(p[1:-1]) and p not in taken)
+
+
 def v_basis(ctx):
     return [cyclic_vector(ctx, ctx.pow(ctx.g, i)) for i in range(ctx.m)]
 
@@ -407,18 +427,22 @@ def test_segre_invariant_only_under_norm_one_tau(f27):
 
 
 @pytest.mark.parametrize("fixture", ["f27", "f64", "f125"])
-def test_line_classes_equal_the_two_normalization_form(fixture, request):
+def test_orbit_lines_equal_the_two_normalization_form(fixture, request):
+    # the grouping of every word by its point and its F_q-class, for the
+    # row-built component and for the same orbit given as a word set
     ctx = request.getfixturevalue(fixture)
     s = ctx.subfield_index
     fam = cd.build_family(ctx, [ctx.fq_elems[2]])
-    for words in [c.words for c in fam.components if c.kind != "ZERO"] + [
-            sample_words(ctx, 300, ctx.order)]:
+    for c in fam.components:
+        if c.kind == "ZERO":
+            continue
         want = {}
-        for w in words:
+        for w in c.words:
             want.setdefault(lf.proj_normalize(ctx, w), set()).add(lf.proj_normalize(ctx, w, s))
-        got = ge.line_classes(ctx, words)
-        assert list(got) == sorted(want)
-        assert got == {r: frozenset(names) for r, names in want.items()}
+        for comp in (c, cd.Component(c.kind, c.a, c.words, c.orbit_rep)):
+            got = ge.orbit_lines(ctx, comp)
+            assert list(got) == sorted(want)
+            assert got == {r: frozenset(names) for r, names in want.items()}
 
 
 def test_hyperregulus_reports(f27):
@@ -446,7 +470,8 @@ def test_hyperregulus_cover_check_sees_a_missing_point(fixture, request):
     assert ge.hyperregulus(ctx, full).covers_component
     w = min(full.words)
     missing = full.words - {lf.word_scale(ctx, c, w) for c in ctx.fq_elems[1:]}
-    assert not ge.hyperregulus(ctx, cd.Component("J", full.a, missing)).covers_component
+    cut = cd.Component("J", full.a, missing, full.orbit_rep)
+    assert not ge.hyperregulus(ctx, cut).covers_component
 
 
 def test_hyperregulus_norm_surface_at_one(f27):
@@ -490,6 +515,34 @@ def test_disjointness_negative_control(f27):
     assert not ge.all_disjoint([a, b])
     assert ge.pairwise_intersections([a, b])[0][1] == 1
     assert ge.all_disjoint([a - b, b - a])
+
+
+@pytest.mark.parametrize("fixture", ["f27", "f64"])
+@pytest.mark.parametrize("kind, move, broken", [("PI", "cut", "sizes_ok"),
+                                                ("PI", "shared", "disjoint"),
+                                                ("J", "free", "j_on_line")])
+def test_projective_decomposition_fields_each_see_one_moved_point(fixture, kind, move, broken,
+                                                                  request):
+    # a PI point cut, a PI point replaced by one of J's, a J point replaced
+    # by one off the line that no component holds: each flips one field
+    ctx = request.getfixturevalue(fixture)
+    fam = cd.build_family(ctx, [ctx.fq_elems[2]])
+    j = next(c for c in fam.components if c.kind == "J")
+    new = {"cut": None, "shared": min(ge.orbit_points(ctx, j)), "free": free_point(ctx, fam)}
+    rep = ge.verify_projective_decomposition(move_one_point(ctx, fam, kind, new[move]))
+    checks = {"sizes_ok": rep.sizes_ok, "disjoint": rep.disjoint, "j_on_line": rep.j_on_line}
+    assert {name for name, value in checks.items() if not value} == {broken} and not rep.ok
+
+
+@pytest.mark.parametrize("kind", ["J", "A1", "A2"])
+def test_ja_in_span_sees_a_point_off_the_first_last_support(f27, f64, kind):
+    # both reports read the J and the axis points
+    for ctx, check in ((f27, ge.verify_spread_decomposition), (f64, ge.dickson_side_subchecks)):
+        fam = cd.build_family(ctx, [ctx.fq_elems[2]])
+        assert ge.dickson_side_subchecks(fam)["ja_in_span"]
+        rep = check(move_one_point(ctx, fam, kind, free_point(ctx, fam)))
+        out = rep if isinstance(rep, dict) else rep.as_dict()
+        assert out["ja_in_span"] is False and out["ok"] is False
 
 
 def test_spread_decomposition_q3(f27):
