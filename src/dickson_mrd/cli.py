@@ -35,6 +35,10 @@ from .codes import (
 )
 from .gfield import FieldCtx, make_field
 
+# geometry prints the whole spread report only up to this many points of
+# PG(m^2-1, q), and its Dickson-side projection beyond them
+SPREAD_POINT_LIMIT = 20000
+
 
 def parse_fq_element(ctx: FieldCtx, token: str) -> int:
     token = token.strip()
@@ -162,16 +166,13 @@ def cmd_geometry(args) -> int:
         "I": [fq_label(ctx, c.a) for c in fam.components if c.kind == "PI"],
         "projective_decomposition": proj.as_dict(),
     }
-    ok = proj.ok
-    if ge.spread_point_count(ctx) <= ge.SPREAD_POINT_LIMIT:
-        spread = ge.verify_spread_decomposition(fam)
+    spread = ge.verify_spread_decomposition(fam)
+    ok = proj.ok and spread.ok
+    if ge.spread_point_count(ctx) <= SPREAD_POINT_LIMIT:
         payload["spread_decomposition"] = spread.as_dict()
-        ok &= spread.ok
     else:
-        sub = ge.dickson_side_subchecks(fam)
         payload["spread_decomposition"] = "skipped: beyond full-spread desk bound"
-        payload["dickson_side_subchecks"] = sub
-        ok &= sub["ok"]
+        payload["dickson_side_subchecks"] = ge.dickson_side_subchecks(spread)
     sample = ge.reduction_sample(ctx, args.sample)
     red = ge.verify_reduction_equivalence(ctx, sample)
     payload["reduction_equivalence"] = red.as_dict()

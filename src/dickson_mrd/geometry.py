@@ -37,13 +37,10 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 from .codes import Component, RankCode, Report, _row_multiples, disjoint_union, kind_component
 from .gfield import FieldCtx
 from .linalg import fq_rank, mat_inv, mat_mul, mat_rank, mat_transpose, mat_vec
-from .linforms import Word, dickson, proj_normalize, word_scale
+from .linforms import Word, dickson, proj_normalize
 
 ProjPoint = Tuple[int, ...]
 TensorMat = Tuple[Tuple[int, ...], ...]
-
-# Full spread materialization is only attempted below this many points.
-SPREAD_POINT_LIMIT = 20000
 
 REDUCTION_SAMPLE_SEED = 0x51CA7
 
@@ -258,30 +255,14 @@ def proj_points_iter(ctx: FieldCtx) -> Iterable[ProjPoint]:
 
 def spread_element_points(ctx: FieldCtx, rep: Sequence[int]) -> FrozenSet[Word]:
     """F_q-classes of the F_{q^m}-line through rep: one spread element, the
-    normal forms g^0 r, ..., g^(s-1) r of r = proj_normalize(ctx, rep)."""
-    r = proj_normalize(ctx, rep)
-    return frozenset(word_scale(ctx, x, r) for x in ctx.exp[:ctx.subfield_index])
+    normal forms g^0 r, ..., g^(s-1) r of r = proj_normalize(ctx, rep), read
+    as exp-table windows."""
+    return frozenset(_row_multiples(ctx, [proj_normalize(ctx, rep)], ctx.subfield_index))
 
 
 def spread_point_count(ctx: FieldCtx) -> int:
     """Number of points of PG(m^2-1, q)."""
     return (ctx.q ** (ctx.m * ctx.m) - 1) // (ctx.q - 1)
-
-
-def spread_partition(ctx: FieldCtx) -> Dict[ProjPoint, FrozenSet[Word]]:
-    """The full partition of PG(m^2-1, q) into F_{q^m}-line classes, each
-    element keyed by its point of PG(m-1, q^m), with cover and disjointness
-    verified."""
-    n_points = spread_point_count(ctx)
-    if n_points > SPREAD_POINT_LIMIT:
-        raise ValueError(f"spread with {n_points} points exceeds the desk bound")
-    elements = {rep: spread_element_points(ctx, rep) for rep in proj_points_iter(ctx)}
-    if any(len(pts) != ctx.subfield_index for pts in elements.values()):
-        raise RuntimeError("spread element has wrong size")
-    disjoint, union = disjoint_union(elements.values())
-    if not disjoint or len(union) != n_points:
-        raise RuntimeError("spread is not a partition")
-    return elements
 
 
 def fq_vector_reps(ctx: FieldCtx) -> List[Tuple[int, ...]]:
@@ -354,9 +335,13 @@ class HyperregulusReport:
 def orbit_lines(ctx: FieldCtx, comp: Component) -> Dict[ProjPoint, FrozenSet[Word]]:
     """The F_q-classes of a single orbit (`orbit_points` at index s) grouped
     by the F_{q^m}-line they span, keyed by the line's normalized point, in
-    ascending key order."""
+    ascending key order.  A built component's base rows are those points,
+    and the classes on the line of row r are g^0 r, ..., g^(s-1) r."""
+    s = ctx.subfield_index
+    if comp.rows is not None:
+        return {r: frozenset(_row_multiples(ctx, [r], s)) for r in sorted(comp.rows)}
     groups: Dict[ProjPoint, Set[Word]] = {}
-    for cls in orbit_points(ctx, comp, ctx.subfield_index):
+    for cls in orbit_points(ctx, comp, s):
         groups.setdefault(proj_normalize(ctx, cls), set()).add(cls)
     return {r: frozenset(pts) for r, pts in sorted(groups.items())}
 
@@ -410,8 +395,15 @@ def all_disjoint(point_sets: Sequence[FrozenSet]) -> bool:
 
 @dataclass(frozen=True)
 class ProjectiveDecompositionReport(Report):
-    """Image of the family in PG(m-1, q^m): two points, |I| subgeometries,
-    and q-1-|I| scattered sets on the line joining the two points."""
+    """Image of the family in PG(m-1, q^m), where the paper has two points,
+    |I| subgeometries and q-1-|I| scattered sets on the line joining the
+    two points.  The report checks sizes, disjointness and that line: each
+    axis image is one point and each PI or J image has s = (q^m-1)/(q-1)
+    points (`sizes_ok`), the images are pairwise disjoint (`disjoint`), and
+    every J image lies on the line through (1, 0, ..., 0) and
+    (0, ..., 0, 1) (`j_on_line`).  Size s makes an orbit's image a
+    scattered linear set of rank m; that a PI image spans PG(m-1, q^m), and
+    so is a subgeometry, is not checked."""
 
     component_sizes: Dict[str, int]
     expected_size: int
@@ -480,6 +472,9 @@ class SpreadDecompositionReport(Report):
     elements_disjoint: bool
     ja_in_span: bool
     image_in_spread: bool
+    # s^2, the point count of a Segre variety; read by
+    # `dickson_side_subchecks`, not part of the JSON
+    segre_size: int = field(metadata={"json": False})
 
     @property
     def ok(self) -> bool:
@@ -495,11 +490,19 @@ class SpreadDecompositionReport(Report):
 
 
 def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
+    """Compare the family's F_q-classes with the Desarguesian spread of
+    PG(m^2-1, q), reading each spread element only at the key it is
+    compared at, each built once by `spread_element_points`.
+
+    These are the spread's elements with no partition built: every
+    F_q-class has one normal form `proj_normalize(w, s)`; it lies on one
+    F_{q^m}-line, its F_{q^m}*-closure, named by `proj_normalize(w)`; and
+    the line through r = proj_normalize(rep) holds the s classes g^0 r, ...,
+    g^(s-1) r, which are distinct, since F_q* = <g^s>.  So the elements
+    keyed by the points of PG(m-1, q^m) partition PG(m^2-1, q)."""
     pis, js = _pi_and_j(code)
     ctx = code.ctx
     per = ctx.subfield_index
-    spread = spread_partition(ctx)
-
     used_elements: List[FrozenSet[Word]] = []
 
     # the two axis components are single spread elements
@@ -507,7 +510,7 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
     for c in code.components:
         if c.kind in ("A1", "A2"):
             pts = orbit_points(ctx, c, per)
-            axis_ok &= spread[proj_normalize(ctx, c.orbit_rep)] == pts
+            axis_ok &= spread_element_points(ctx, c.orbit_rep) == pts
             used_elements.append(pts)
 
     # pi components are Segre varieties: tau-images of the standard one
@@ -523,12 +526,17 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
         mapped = frozenset(proj_normalize(ctx, tau(ctx, alpha, w), per) for w in base_segre)
         segre_equiv &= mapped == image and len(image) == per * per
         for rep, pts in groups.items():
-            image_in_spread &= spread[rep] == pts
+            image_in_spread &= spread_element_points(ctx, rep) == pts
             used_elements.append(pts)
 
-    hyper, ja_in_span = _j_side_checks(code, js)
+    hyper = {c.tag(ctx): hyperregulus(ctx, c) for c in js}
     for rep_report in hyper.values():
         used_elements.extend(rep_report.members)
+
+    # the J and axis images lie in the span of the two axis spread
+    # elements: on points (so words) supported on the first and last coordinate
+    ja = [c for c in code.components if c.kind in ("J", "A1", "A2")]
+    ja_in_span = all(not any(p[1:-1]) for c in ja for p in orbit_points(ctx, c))
 
     expected = 2 + len(pis) * per + len(js) * per
     return SpreadDecompositionReport(
@@ -541,36 +549,21 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
         elements_disjoint=all_disjoint(used_elements),
         ja_in_span=ja_in_span,
         image_in_spread=image_in_spread,
+        segre_size=per * per,
     )
 
 
-def _j_side_checks(code: RankCode, js: Sequence[Component]) -> Tuple[Dict[str, HyperregulusReport], bool]:
-    """The hyperregulus report of each J component, and whether the J and
-    axis images live in the span of the two axis spread elements, i.e. on
-    points (so words) supported on the first and last coordinate."""
-    ctx = code.ctx
-    hyper = {c.tag(ctx): hyperregulus(ctx, c) for c in js}
-    ja = [c for c in code.components if c.kind in ("J", "A1", "A2")]
-    ja_in_span = all(not any(p[1:-1]) for c in ja for p in orbit_points(ctx, c))
-    return hyper, ja_in_span
-
-
-def dickson_side_subchecks(code: RankCode) -> dict:
-    """Class-count and containment checks that stay on the Dickson side, for
-    parameters where the full spread exceeds the desk bound: image sizes of
-    the pi components (Segre point counts), hyperregulus structure of the J
-    components, and the first-last support of the J and axis parts."""
-    pis, js = _pi_and_j(code)
-    ctx = code.ctx
-    per = ctx.subfield_index
-    segre_ok = {c.tag(ctx): len(orbit_points(ctx, c, per)) == per * per for c in pis}
-    hyper, support_ok = _j_side_checks(code, js)
-    hyper_ok = {tag: rep_report.ok for tag, rep_report in hyper.items()}
+def dickson_side_subchecks(report: SpreadDecompositionReport) -> dict:
+    """The Dickson-side part of a spread report: whether each pi image has
+    the s^2 F_q-classes of a Segre variety, the hyperregulus verdict of each
+    J component, and the first-last support of the J and axis parts."""
+    segre_ok = {tag: n == report.segre_size for tag, n in report.segre_counts.items()}
+    hyper_ok = dict(report.hyperreguli_ok)
     return {
         "segre_class_counts": segre_ok,
         "hyperreguli": hyper_ok,
-        "ja_in_span": support_ok,
-        "ok": all(segre_ok.values()) and all(hyper_ok.values()) and support_ok,
+        "ja_in_span": report.ja_in_span,
+        "ok": all(segre_ok.values()) and all(hyper_ok.values()) and report.ja_in_span,
     }
 
 

@@ -4,7 +4,15 @@ Everything here works on little-endian coefficient lists over F_p with
 schoolbook polynomial multiplication and explicit reduction by the modulus.
 No discrete-log or Zech tables are involved, so agreement with the package
 arithmetic is a genuine cross-check.
+
+The one exception is `spread_partition` at the end: it builds the whole
+spread of PG(m^2-1, q) with the package's field multiplication, scaling
+each word coordinate by coordinate, where the package reads one spread
+element at a time as exp-table windows.
 """
+
+from dickson_mrd.geometry import proj_points_iter
+from dickson_mrd.linforms import word_scale
 
 
 def decode(ctx, x):
@@ -88,3 +96,22 @@ def ref_x_order(modulus, p):
         if cur == one:
             return k
     return 0
+
+
+def spread_partition(ctx):
+    """The full partition of PG(m^2-1, q) into F_{q^m}-line classes, each
+    element keyed by its point r of PG(m-1, q^m) and given as the normal
+    forms g^0 r, ..., g^(s-1) r, with sizes, disjointness and cover
+    verified."""
+    s = ctx.subfield_index
+    elements = {r: frozenset(word_scale(ctx, x, r) for x in ctx.exp[:s])
+                for r in proj_points_iter(ctx)}
+    if any(len(pts) != s for pts in elements.values()):
+        raise RuntimeError("spread element has wrong size")
+    union = set()
+    for pts in elements.values():
+        union |= pts
+    n_points = (ctx.q ** (ctx.m * ctx.m) - 1) // (ctx.q - 1)
+    if len(union) != len(elements) * s or len(union) != n_points:
+        raise RuntimeError("spread is not a partition")
+    return elements

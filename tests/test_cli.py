@@ -223,6 +223,18 @@ def test_geometry_command_skips_large_spread(capsys):
     assert "skipped" in rep["spread_decomposition"]
 
 
+def test_geometry_exit_code_reads_the_whole_spread_report_beyond_the_printed_bound(
+        capsys, monkeypatch):
+    # an empty standard Segre variety fails only segre_equivalent, which
+    # the printed Dickson-side projection does not carry
+    monkeypatch.setattr(ge, "segre_word_classes", lambda ctx: frozenset())
+    code, text, _ = run(capsys, "geometry", "--p", "2", "--h", "2", "--m", "3",
+                        "--set", "g21", "--sample", "10")
+    rep = json.loads(text)
+    assert (code, rep["ok"]) == (1, False)
+    assert rep["projective_decomposition"]["ok"] and rep["dickson_side_subchecks"]["ok"]
+
+
 def test_cmp_command(capsys):
     code, text, _ = run(capsys, "cmp", "--p", "3", "--set", "2")
     assert code == 0
@@ -513,9 +525,9 @@ def test_cmp_and_splash_build_each_component_once(capsys, monkeypatch, argv, bui
     (["cmp", "--p", "2", "--h", "2", "--set", "g21"], "theta", 319),
     (["splash", "--p", "5", "--a", "4"], "exterior_splash", 2),
     (["geometry", "--p", "5", "--m", "3", "--set", "2", "--sample", "10"],
-     "spread_element_points", 93),
+     "spread_element_points", 126),
     (["geometry", "--p", "3", "--m", "3", "--set", "2", "--sample", "10"],
-     "spread_element_points", 770),
+     "spread_element_points", 28),
 ])
 def test_each_theta_image_splash_and_spread_line_is_derived_once(capsys, monkeypatch,
                                                                  argv, name, calls):
@@ -525,8 +537,10 @@ def test_each_theta_image_splash_and_spread_line_is_derived_once(capsys, monkeyp
     # carries 31 (resp. 21) splash points per a.  At p = 5 that is
     # 2 (8 * 31 + 2) + 4 * 31 = 624, at q = 4 2 (6 * 21 + 2) + 3 * 21 = 319.
     # splash at a = 1/a splashes pi(a) once; geometry builds
-    # each spread line once: 93 hyperregulus lines at p = 5, and at p = 3
-    # the 757 lines of the full spread plus 13 hyperregulus lines
+    # each spread line it reads once, at every field: the two axis lines,
+    # the s lines of each PI component and the s hyperregulus lines of each
+    # J component, so 2 + 31 + 3 * 31 = 126 at p = 5 and 2 + 13 + 13 = 28
+    # at p = 3
     counted = []
     for module in (cf, ge):
         if hasattr(module, name):

@@ -343,6 +343,57 @@ def test_curve_splash_q4(f64):
         assert rep.equals_z_image == (a == 1)
 
 
+def _splash_off_the_fiber(ctx, orbits, a):
+    """gamma(a)'s splash replaced by the norm-1 fiber, and pi(1/a)'s by that
+    fiber's theta-image, so theta still carries one onto the other."""
+    wrong = cf.norm_fiber_points_on_u(ctx, 1)
+    orbits.splashes[orbits["GAMMA", a]] = wrong
+    orbits.splashes[orbits["PI", ctx.inv(a)]] = frozenset(
+        ge.proj_normalize(ctx, cf.theta(ctx, p)) for p in wrong)
+
+
+def _z_of_a_squared(ctx, orbits, a):
+    """Z(a) replaced by Z(a^2), whose image is the norm fiber of -a^2."""
+    orbits["Z", a] = orbits["Z", ctx.mul(a, a)]
+
+
+def _pi_of_one(ctx, orbits, a):
+    """pi(1/a) replaced by pi(1), whose splash is the J(1) image."""
+    orbits["PI", ctx.inv(a)] = orbits["PI", 1]
+
+
+SPLASH_MUTATIONS = {
+    "splash_is_norm_fiber": _splash_off_the_fiber,
+    "equals_z_image": _z_of_a_squared,
+    "theta_consistent": _pi_of_one,
+}
+
+
+@pytest.mark.parametrize("field", list(SPLASH_MUTATIONS))
+def test_each_curve_splash_field_is_flipped_by_one_input(f64, field):
+    # at a = omega the values -a^2, -a and 1 are distinct, so each mutation
+    # of the store moves one comparison alone
+    a = f64.fq_elems[2]
+    orbits = cf.Orbits(f64)
+    before = cf.verify_curve_splash(orbits, a)
+    assert before.ok
+    SPLASH_MUTATIONS[field](f64, orbits, a)
+    after = cf.verify_curve_splash(orbits, a)
+    assert {name for name in SPLASH_MUTATIONS
+            if getattr(after, name) != getattr(before, name)} == {field}
+    assert after.splash_size == before.splash_size and not after.ok
+
+
+def test_component_maps_see_a_wrong_j_partner_alone(f27):
+    # J(1/2) replaced by J(1): Z(2) no longer maps onto its partner, while
+    # Z(1) and every gamma component still do
+    orbits = cf.Orbits(f27)
+    orbits["J", f27.inv(2)] = orbits["J", 1]
+    maps = cf.verify_component_maps(orbits)
+    assert maps["2"]["z_to_j"] is False and maps["1"]["z_to_j"] is True
+    assert all(v["gamma_to_pi"] for v in maps.values())
+
+
 def test_curve_splash_validation(f27, f81):
     with pytest.raises(ValueError):
         cf.verify_curve_splash(cf.Orbits(f27), 0)

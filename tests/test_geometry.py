@@ -9,7 +9,7 @@ from dickson_mrd import codes as cd
 from dickson_mrd import geometry as ge
 from dickson_mrd import linforms as lf
 from dickson_mrd.linalg import fq_rank, mat_mul, mat_rank, mat_transpose, mat_vec
-from reference import encode, ref_mul, ref_pow
+from reference import encode, ref_mul, ref_pow, spread_partition
 
 
 def cyclic_vector(ctx, a):
@@ -52,6 +52,10 @@ def free_point(ctx, fam):
     component's image."""
     taken = frozenset().union(*(pts for _, pts in ge.component_images(fam)))
     return next(p for p in ge.proj_points_iter(ctx) if any(p[1:-1]) and p not in taken)
+
+
+def subchecks_of(fam):
+    return ge.dickson_side_subchecks(ge.verify_spread_decomposition(fam))
 
 
 def v_basis(ctx):
@@ -368,7 +372,7 @@ def test_broken_reduction_route_fails_the_proof_and_geometry(
 # ----------------------------------------------------------------------
 
 def test_spread_partition_q3_m3(f27):
-    spread = ge.spread_partition(f27).values()
+    spread = spread_partition(f27).values()
     assert len(spread) == 757
     assert all(len(pts) == 13 for pts in spread)
     union = set()
@@ -391,11 +395,6 @@ def test_spread_element_points_are_the_classes_of_all_multiples(fixture, request
         assert len(points) == len(classes) == s
         assert {next(cl for cl in classes if p in cl) for p in points} == classes
         assert points == {ge.proj_normalize(ctx, v, s) for v in multiples}
-
-
-def test_spread_partition_respects_desk_bound(f64):
-    with pytest.raises(ValueError, match="bound"):
-        ge.spread_partition(f64)
 
 
 def test_segre_points_count_and_membership(f27):
@@ -455,7 +454,7 @@ def test_hyperregulus_reports(f27):
 
 
 def test_hyperregulus_members_are_spread_elements(f27):
-    spread_sets = set(ge.spread_partition(f27).values())
+    spread_sets = set(spread_partition(f27).values())
     for a in (1, 2):
         rep = ge.hyperregulus(f27, cd.kind_component(f27, "J", a))
         for member in rep.members:
@@ -537,9 +536,9 @@ def test_projective_decomposition_fields_each_see_one_moved_point(fixture, kind,
 @pytest.mark.parametrize("kind", ["J", "A1", "A2"])
 def test_ja_in_span_sees_a_point_off_the_first_last_support(f27, f64, kind):
     # both reports read the J and the axis points
-    for ctx, check in ((f27, ge.verify_spread_decomposition), (f64, ge.dickson_side_subchecks)):
+    for ctx, check in ((f27, ge.verify_spread_decomposition), (f64, subchecks_of)):
         fam = cd.build_family(ctx, [ctx.fq_elems[2]])
-        assert ge.dickson_side_subchecks(fam)["ja_in_span"]
+        assert subchecks_of(fam)["ja_in_span"]
         rep = check(move_one_point(ctx, fam, kind, free_point(ctx, fam)))
         out = rep if isinstance(rep, dict) else rep.as_dict()
         assert out["ja_in_span"] is False and out["ok"] is False
@@ -552,27 +551,57 @@ def test_spread_decomposition_q3(f27):
     assert rep.segre_counts == {"PI(2)": 169}
 
 
-def test_spread_decomposition_axis_check_sees_a_missing_class(f27):
+def test_spread_decomposition_axis_check_sees_a_missing_class(f27, f64):
     # drop one F_q-class (q - 1 words) from A1: its image is no spread element
-    rep = ge.verify_spread_decomposition(cut_one_class(f27, cd.build_family(f27, [2]), "A1"))
-    assert rep.axis_elements_ok is False and not rep.ok
+    for ctx in (f27, f64):
+        fam = cd.build_family(ctx, [ctx.fq_elems[2]])
+        rep = ge.verify_spread_decomposition(cut_one_class(ctx, fam, "A1"))
+        assert rep.axis_elements_ok is False and not rep.ok
 
 
 @pytest.mark.parametrize("kind, broken", [("PI", {"image_in_spread", "segre_equivalent"}),
                                           ("J", {"hyperreguli_ok"})])
-def test_spread_decomposition_pi_and_j_checks_see_a_missing_class(f27, kind, broken):
+def test_spread_decomposition_pi_and_j_checks_see_a_missing_class(f27, f64, kind, broken):
     # a PI line that lost a point is no spread element and no tau-image of
     # the standard Segre variety; a J line that lost one is no hyperregulus member
-    rep = ge.verify_spread_decomposition(cut_one_class(f27, cd.build_family(f27, [2]), kind))
-    checks = {"axis_elements_ok": rep.axis_elements_ok, "image_in_spread": rep.image_in_spread,
-              "segre_equivalent": rep.segre_equivalent,
-              "hyperreguli_ok": all(rep.hyperreguli_ok.values())}
-    assert {name for name, value in checks.items() if not value} == broken and not rep.ok
+    for ctx in (f27, f64):
+        fam = cd.build_family(ctx, [ctx.fq_elems[2]])
+        rep = ge.verify_spread_decomposition(cut_one_class(ctx, fam, kind))
+        checks = {"axis_elements_ok": rep.axis_elements_ok, "image_in_spread": rep.image_in_spread,
+                  "segre_equivalent": rep.segre_equivalent,
+                  "hyperreguli_ok": all(rep.hyperreguli_ok.values())}
+        assert {name for name, value in checks.items() if not value} == broken and not rep.ok
 
 
-def test_spread_decomposition_bound(f64):
-    with pytest.raises(ValueError, match="bound"):
-        ge.verify_spread_decomposition(cd.build_family(f64, [f64.fq_elems[2]]))
+@pytest.mark.parametrize("fixture", ["f64", "f125", "f81"])
+def test_spread_decomposition_is_ok_beyond_the_printed_bound(fixture, request):
+    # the one spread route runs at every field, with no partition built
+    ctx = request.getfixturevalue(fixture)
+    assert ge.spread_point_count(ctx) > cli.SPREAD_POINT_LIMIT
+    rep = ge.verify_spread_decomposition(cd.build_family(ctx, [ctx.fq_elems[2]]))
+    assert rep.ok
+    assert rep.spread_elements_used == rep.expected_spread_elements == ctx.q ** ctx.m + 1
+
+
+@pytest.mark.parametrize("fixture, reads", [("f27", 2 + 13 + 13), ("f64", 2 + 21 + 2 * 21)])
+def test_spread_report_reads_the_partition_elements(fixture, reads, request, monkeypatch):
+    # every spread element the report reads, each at one key, against the
+    # materialized partition's element at that key
+    ctx = request.getfixturevalue(fixture)
+    spread = spread_partition(ctx)
+    read = {}
+    build = ge.spread_element_points
+
+    def recorded(ctx, rep):
+        key = lf.proj_normalize(ctx, rep)
+        assert key not in read
+        read[key] = build(ctx, rep)
+        return read[key]
+
+    monkeypatch.setattr(ge, "spread_element_points", recorded)
+    assert ge.verify_spread_decomposition(cd.build_family(ctx, [ctx.fq_elems[2]])).ok
+    assert len(read) == reads
+    assert all(spread[key] == pts for key, pts in read.items())
 
 
 def test_cyclic_summands_span(f27, f64):
@@ -628,18 +657,18 @@ def test_splash_rejects_non_line(f27):
 
 def test_dickson_side_subchecks_q4(f64):
     om = f64.fq_elems[2]
-    out = ge.dickson_side_subchecks(cd.build_family(f64, [om]))
+    out = subchecks_of(cd.build_family(f64, [om]))
     assert out["ok"]
     assert all(out["segre_class_counts"].values())
     assert all(out["hyperreguli"].values())
     with pytest.raises(ValueError, match="nonempty"), pytest.warns(UserWarning, match="empty I"):
-        ge.dickson_side_subchecks(cd.build_family(f64, []))
+        subchecks_of(cd.build_family(f64, []))
 
 
 @pytest.mark.parametrize("kind, check", [("PI", "segre_class_counts"), ("J", "hyperreguli")])
 def test_dickson_side_subchecks_see_a_missing_class(f64, kind, check):
     fam = cd.build_family(f64, [f64.fq_elems[2]])
-    out = ge.dickson_side_subchecks(cut_one_class(f64, fam, kind))
+    out = subchecks_of(cut_one_class(f64, fam, kind))
     # the cut is in the first component of its kind; the others stay whole
     assert list(out[check].values()) == [False] + [True] * (len(out[check]) - 1)
     assert not out["ok"]
