@@ -55,7 +55,6 @@ from .geometry import (
     line_through,
     orbit_points,
     proj_normalize,
-    proj_points_iter,
 )
 from .linforms import Word, word_scale
 
@@ -218,22 +217,8 @@ def verify_component_maps(orbits: Orbits) -> Dict[str, dict]:
 
 
 # ----------------------------------------------------------------------
-# the curve and the splash erratum
+# the splash erratum
 # ----------------------------------------------------------------------
-
-def curve_equation_holds(ctx: FieldCtx, p: ProjPoint) -> bool:
-    """X1 * X2^q - X3^(q+1) = 0 at the point."""
-    q = ctx.q
-    lhs = ctx.mul(p[0], ctx.pow(p[1], q))
-    rhs = ctx.pow(p[2], q + 1)
-    return lhs == rhs
-
-
-def curve_points(ctx: FieldCtx) -> FrozenSet[ProjPoint]:
-    """All points of PG(2, q^3) on the curve X1 * X2^q - X3^(q+1) = 0."""
-    _require_plane(ctx)
-    return frozenset(p for p in proj_points_iter(ctx) if curve_equation_holds(ctx, p))
-
 
 def norm_fiber_points_on_u(ctx: FieldCtx, value: int) -> FrozenSet[ProjPoint]:
     """{[(1, x, 0)] : N(x) = value} on the line X3 = 0."""

@@ -1,4 +1,5 @@
-"""Projective images, linear sets, field reduction, spreads and splashes.
+"""Projective images, field reduction, spreads, Segre varieties, hyperreguli
+and splashes.
 
 Two projective spaces appear:
 
@@ -21,10 +22,9 @@ coordinates = C * u-coordinates, and the congruence
 
     cyclic_reduce(w) == C * field_reduce(C^-1 w) * C^T
 
-holds for every w (`check_reduction_congruence`), which is why both routes
-give the same rank everywhere.  Both sides are F_q-linear in w, so
-`reduction_proved` proves it on an F_q-basis of the m^2-dimensional word
-space.
+holds for every w, which is why both routes give the same rank everywhere.
+Both sides are F_q-linear in w, so `reduction_proved` proves it on an
+F_q-basis of the m^2-dimensional word space.
 """
 
 from __future__ import annotations
@@ -48,13 +48,6 @@ REDUCTION_SAMPLE_SEED = 0x51CA7
 # ----------------------------------------------------------------------
 # points of PG(m-1, q^m)
 # ----------------------------------------------------------------------
-
-def proj_image(ctx: FieldCtx, vectors: Iterable[Sequence[int]]) -> FrozenSet[ProjPoint]:
-    """Normalized, deduplicated projective image of a set of vectors."""
-    return frozenset(
-        proj_normalize(ctx, v) for v in vectors if any(v)
-    )
-
 
 def orbit_points(ctx: FieldCtx, comp: Component, index: int = 1) -> FrozenSet[Word]:
     """The `proj_normalize(ctx, w, index)` points of a single Singer-pair
@@ -81,31 +74,6 @@ def line_through(ctx: FieldCtx, p: Sequence[int], q: Sequence[int]) -> FrozenSet
         vec = tuple(ctx.add(a, ctx.mul(t, b)) for a, b in zip(p, q))
         pts.add(proj_normalize(ctx, vec))
     return frozenset(pts)
-
-
-def span_fq(ctx: FieldCtx, basis: Sequence[Sequence[int]]) -> Set[Tuple[int, ...]]:
-    """The F_q-span of the given vectors (all q^r combinations)."""
-    vecs: Set[Tuple[int, ...]] = set()
-    n = len(basis[0]) if basis else 0
-    for cs in itertools.product(ctx.fq_elems, repeat=len(basis)):
-        acc = [0] * n
-        for c, b in zip(cs, basis):
-            if c:
-                for i, x in enumerate(b):
-                    acc[i] = ctx.add(acc[i], ctx.mul(c, x))
-        vecs.add(tuple(acc))
-    return vecs
-
-
-def is_scattered(ctx: FieldCtx, basis: Sequence[Sequence[int]]) -> bool:
-    """Whether the linear set of the F_q-space spanned by `basis` attains
-    the maximal point count (q^r - 1)/(q - 1), r = len(basis)."""
-    r = len(basis)
-    span = span_fq(ctx, basis)
-    if len(span) != ctx.q ** r:
-        raise ValueError("basis is F_q-dependent")
-    points = proj_image(ctx, span)
-    return len(points) == (ctx.q ** r - 1) // (ctx.q - 1)
 
 
 def tau(ctx: FieldCtx, alpha: int, v: Sequence[int]) -> Tuple[int, ...]:
@@ -159,12 +127,6 @@ def _congruent(ctx: FieldCtx, c: TensorMat, d: TensorMat, x: TensorMat) -> bool:
     """d == C * x * C^T, with the F_q entries of x lifted into F_{q^m}."""
     xe = tuple(tuple(ctx.fq_elem(e) for e in row) for row in x)
     return d == mat_mul(ctx, mat_mul(ctx, c, xe), mat_transpose(c))
-
-
-def check_reduction_congruence(ctx: FieldCtx, w: Sequence[int]) -> bool:
-    """cyclic_reduce(w) == C * field_reduce(C^-1 w) * C^T, entrywise."""
-    c, cinv = singer_change_of_basis(ctx)
-    return _congruent(ctx, c, *_both_reductions(ctx, cinv, w))
 
 
 @dataclass(frozen=True)
@@ -243,16 +205,6 @@ def word_fq_coords(ctx: FieldCtx, w: Word) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def proj_points_iter(ctx: FieldCtx) -> Iterable[ProjPoint]:
-    """Canonical points of PG(m-1, q^m), grouped by first nonzero position."""
-    m = ctx.m
-    els = [0] + list(ctx.exp)
-    for lead in range(m):
-        head = (0,) * lead + (1,)
-        for tail in itertools.product(els, repeat=m - 1 - lead):
-            yield head + tail
-
-
 def spread_element_points(ctx: FieldCtx, rep: Sequence[int]) -> FrozenSet[Word]:
     """F_q-classes of the F_{q^m}-line through rep: one spread element, the
     normal forms g^0 r, ..., g^(s-1) r of r = proj_normalize(ctx, rep), read
@@ -265,45 +217,11 @@ def spread_point_count(ctx: FieldCtx) -> int:
     return (ctx.q ** (ctx.m * ctx.m) - 1) // (ctx.q - 1)
 
 
-def fq_vector_reps(ctx: FieldCtx) -> List[Tuple[int, ...]]:
-    """Projective representatives of F_q^m: first nonzero index equals 1."""
-    reps = []
-    for lead in range(ctx.m):
-        for tail in itertools.product(range(ctx.q), repeat=ctx.m - 1 - lead):
-            reps.append((0,) * lead + (1,) + tail)
-    return reps
-
-
-def tensor_normalize(ctx: FieldCtx, t: TensorMat) -> TensorMat:
-    """Scale a nonzero F_q matrix so its first nonzero entry (row-major) is 1."""
-    for row in t:
-        for e in row:
-            if e:
-                inv = ctx.fq_inv[e]
-                mrow = ctx.fq_mul[inv]
-                return tuple(tuple(mrow[x] for x in r) for r in t)
-    raise ValueError("cannot normalize the zero matrix")
-
-
-def segre_points(ctx: FieldCtx) -> FrozenSet[TensorMat]:
-    """Projective rank-1 matrices over F_q: the Segre image of all pairs of
-    projective column/row vectors."""
-    reps = fq_vector_reps(ctx)
-    mul = ctx.fq_mul
-    out = set()
-    for col in reps:
-        for row in reps:
-            out.add(tuple(tuple(mul[a][b] for b in row) for a in col))
-    expected = len(reps) ** 2
-    if len(out) != expected:
-        raise RuntimeError("rank-1 factorization collision")
-    return frozenset(out)
-
-
 def segre_word_classes(ctx: FieldCtx) -> FrozenSet[Word]:
-    """The same Segre variety on the Dickson side: F_q-classes of the words
-    (c x, c x^q, ..., c x^(q^(m-1))) over nonzero c, x, which form the
-    Singer-pair orbit pi(1) of the generator (1, ..., 1)."""
+    """The standard Segre variety of PG(m^2-1, q) on the Dickson side: the
+    F_q-classes of the words (c x, c x^q, ..., c x^(q^(m-1))) over nonzero
+    c, x, which form the Singer-pair orbit pi(1) of the generator
+    (1, ..., 1)."""
     return orbit_points(ctx, kind_component(ctx, "PI", 1), ctx.subfield_index)
 
 
@@ -522,8 +440,10 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
         groups = orbit_lines(ctx, c)
         image = frozenset().union(*groups.values())
         segre_counts[c.tag(ctx)] = len(image)
-        alpha = ctx.norm_fiber(c.a)[0]
-        mapped = frozenset(proj_normalize(ctx, tau(ctx, alpha, w), per) for w in base_segre)
+        # tau's factors, once per component: tau scales coordinate k alone
+        f = tau(ctx, ctx.norm_fiber(c.a)[0], (1,) * ctx.m)
+        mapped = frozenset(proj_normalize(ctx, tuple(map(ctx.mul, f, w)), per)
+                           for w in base_segre)
         segre_equiv &= mapped == image and len(image) == per * per
         for rep, pts in groups.items():
             image_in_spread &= spread_element_points(ctx, rep) == pts

@@ -282,9 +282,6 @@ class FieldCtx:
             raise ZeroDivisionError("zero has no inverse")
         return self.exp[(-self.log[a]) % self.mult_order]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e == 0:
@@ -346,9 +343,6 @@ class FieldCtx:
     def elements(self) -> Iterator[int]:
         """All field elements: 0 first, then g^0, g^1, ..."""
         yield 0
-        yield from self.exp
-
-    def nonzero(self) -> Iterator[int]:
         yield from self.exp
 
     def coords(self, x: int) -> Tuple[int, ...]:

@@ -8,10 +8,10 @@ Two matrix flavours are used throughout the package:
   context operations.
 
 All eliminations use the fixed pivot order (top row, leftmost column) so
-results are deterministic.  The two rank functions eliminate forward only,
-which is all a rank needs; `rref` is the one full Gauss-Jordan reduction,
-and `mat_inv` and `fq_nullspace` (on the F_q indices lifted into F_{q^m})
-both read their results off it.
+results are deterministic.  `fq_rank` eliminates forward only, on the
+subfield tables.  `rref` is the one elimination over F_{q^m}, a full
+Gauss-Jordan reduction: `mat_rank` is its pivot count and `mat_inv` reads
+the inverse off the reduced form of [A | I].
 """
 
 from __future__ import annotations
@@ -60,23 +60,6 @@ def fq_rank(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def fq_nullspace(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-    """Deterministic basis of the right null space, one vector per free column."""
-    elems, index = ctx.fq_elems, ctx.fq_index
-    ncols = len(rows[0]) if rows else 0
-    mat, pivots = rref(ctx, [[elems[x] for x in r] for r in rows])
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for row, pc in zip(mat, pivots):
-            vec[pc] = index(ctx.neg(row[free]))
-        basis.append(tuple(vec))
-    return basis
-
-
 # ----------------------------------------------------------------------
 # F_{q^m} matrices (entries are element ints)
 # ----------------------------------------------------------------------
@@ -117,35 +100,6 @@ def mat_transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 
 
-def mat_rank(ctx: FieldCtx, a: Mat) -> int:
-    mat = [list(r) for r in a]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    sub, mul, div = ctx.sub, ctx.mul, ctx.div
-    rank = 0
-    for c in range(ncols):
-        pivot = -1
-        for r in range(rank, nrows):
-            if mat[r][c]:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        prow = mat[rank]
-        for r in range(rank + 1, nrows):
-            row = mat[r]
-            if row[c]:
-                factor = div(row[c], prow[c])
-                for j in range(c, ncols):
-                    if prow[j]:
-                        row[j] = sub(row[j], mul(factor, prow[j]))
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
 def rref(ctx: FieldCtx, a: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int]]:
     """Reduced row echelon form of an F_{q^m} matrix by Gauss-Jordan
     elimination, with its pivot columns (one per nonzero row, in order)."""
@@ -169,6 +123,11 @@ def rref(ctx: FieldCtx, a: Sequence[Sequence[int]]) -> Tuple[List[List[int]], Li
         if len(pivots) == len(mat):
             break
     return mat, pivots
+
+
+def mat_rank(ctx: FieldCtx, a: Mat) -> int:
+    """Rank of an F_{q^m} matrix: the pivot count of its reduced form."""
+    return len(rref(ctx, a)[1])
 
 
 def mat_inv(ctx: FieldCtx, a: Mat) -> Mat:

@@ -1,28 +1,26 @@
-"""Words, Dickson matrices, bilinear forms and the automorphism action.
+"""Words, their F_q-linear maps, the pair rank kernel and Dickson matrices.
 
 A *word* is an m-tuple (a_0, ..., a_{m-1}) of elements of F_{q^m}.  One word
-plays three roles at once:
+plays two roles at once:
 
 * the linearized polynomial  L(x) = a_0 x + a_1 x^q + ... + a_{m-1} x^(q^(m-1)),
 * the generator of the q-circulant (Dickson) matrix whose (i, j) entry is
-  a_{(j-i) mod m} ^ (q^i)  (0-based indices),
-* the bilinear form  (x, x') -> Tr(L(x') * x)  on the cyclic model of V(m, q).
+  a_{(j-i) mod m} ^ (q^i)  (0-based indices).
 
-The rank of the word is the rank of the form: the F_q-dimension of the
-image of L (`column_rank`), which is m minus that of its root space.  It
-always agrees with the matrix rank of the Dickson matrix over F_{q^m} (this
-equality is exercised by the tests).
+The rank of the word is the F_q-dimension of the image of L
+(`column_rank`), which is m minus that of its root space.  It always agrees
+with the matrix rank of the Dickson matrix over F_{q^m} (this equality is
+exercised by the tests).
 
 Words are plain tuples of element ints; all functions are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .gfield import FieldCtx
-from .linalg import fq_nullspace, fq_rank, mat_mul
+from .linalg import fq_rank
 
 Word = Tuple[int, ...]
 # Images of the basis 1, g, ..., g^(m-1) under a word's linear map.
@@ -36,11 +34,6 @@ def zero_word(ctx: FieldCtx) -> Word:
 def word_add(ctx: FieldCtx, w1: Word, w2: Word) -> Word:
     add = ctx.add
     return tuple(add(a, b) for a, b in zip(w1, w2))
-
-
-def word_sub(ctx: FieldCtx, w1: Word, w2: Word) -> Word:
-    sub = ctx.sub
-    return tuple(sub(a, b) for a, b in zip(w1, w2))
 
 
 def word_scale(ctx: FieldCtx, c: int, w: Word) -> Word:
@@ -59,16 +52,6 @@ def proj_normalize(ctx: FieldCtx, v: Sequence[int], index: int = 1) -> Tuple[int
             inv = ctx.inv(ctx.exp[k - k % index])
             return tuple(ctx.mul(inv, x) for x in v)
     raise ValueError("cannot normalize the zero vector")
-
-
-def eval_linpoly(ctx: FieldCtx, w: Word, x: int) -> int:
-    """Evaluate the linearized polynomial of w at x."""
-    acc = 0
-    add, mul, frob = ctx.add, ctx.mul, ctx.frobenius
-    for i, a in enumerate(w):
-        if a:
-            acc = add(acc, mul(a, frob(x, i)))
-    return acc
 
 
 def linmap_fq_matrix(ctx: FieldCtx, w: Word) -> Columns:
@@ -119,18 +102,6 @@ def column_rank(left: Columns, right: Columns, tables: tuple) -> int:
     return dim[s]
 
 
-def kernel(ctx: FieldCtx, w: Word) -> List[int]:
-    """Deterministic F_q-basis of the root space {x : L_w(x) = 0},
-    as field elements."""
-    rows = list(zip(*map(ctx.coords, linmap_fq_matrix(ctx, w))))
-    return [ctx.from_fq_coords(vec) for vec in fq_nullspace(ctx, rows)]
-
-
-def rank(ctx: FieldCtx, w: Word) -> int:
-    """Rank of the bilinear form of w (= m - dim of the root space)."""
-    return column_rank(linmap_fq_matrix(ctx, w), zero_word(ctx), rank_tables(ctx))
-
-
 def dickson(ctx: FieldCtx, w: Word) -> Tuple[Tuple[int, ...], ...]:
     """The q-circulant matrix generated by w."""
     m = ctx.m
@@ -138,90 +109,3 @@ def dickson(ctx: FieldCtx, w: Word) -> Tuple[Tuple[int, ...], ...]:
     return tuple(
         tuple(frob(w[(j - i) % m], i) for j in range(m)) for i in range(m)
     )
-
-
-def word_from_dickson(ctx: FieldCtx, mat: Sequence[Sequence[int]]) -> Word:
-    """Recover the generating word, checking the q-circulant structure."""
-    m = ctx.m
-    w = tuple(mat[0])
-    frob = ctx.frobenius
-    for i in range(1, m):
-        for j in range(m):
-            if mat[i][j] != frob(w[(j - i) % m], i):
-                raise RuntimeError("matrix is not a Dickson matrix")
-    return w
-
-
-def dickson_rank(ctx: FieldCtx, w: Word) -> int:
-    """Matrix rank of the Dickson matrix over F_{q^m} (cross-check route)."""
-    from .linalg import mat_rank
-
-    return mat_rank(ctx, dickson(ctx, w))
-
-
-def form_eval(ctx: FieldCtx, w: Word, x: int, xp: int) -> int:
-    """The bilinear form of w: Tr(L_w(x') * x).  Takes values in F_q."""
-    return ctx.trace(ctx.mul(eval_linpoly(ctx, w, xp), x))
-
-
-def compose(ctx: FieldCtx, wa: Word, wb: Word) -> Word:
-    """Composition of linearized polynomials, reduced mod x^(q^m) - x.
-
-    Matches the Dickson matrix product: D(compose(a, b)) = D(a) * D(b).
-    """
-    m = ctx.m
-    add, mul, frob = ctx.add, ctx.mul, ctx.frobenius
-    out = [0] * m
-    for i, a in enumerate(wa):
-        if not a:
-            continue
-        for j, b in enumerate(wb):
-            if b:
-                k = (i + j) % m
-                out[k] = add(out[k], mul(a, frob(b, i)))
-    return tuple(out)
-
-
-def dickson_mul(
-    ctx: FieldCtx,
-    a: Sequence[Sequence[int]],
-    b: Sequence[Sequence[int]],
-) -> Tuple[Tuple[int, ...], ...]:
-    """Product of two Dickson matrices; raises if the product loses the
-    q-circulant structure (which would signal an arithmetic bug)."""
-    prod = mat_mul(ctx, tuple(map(tuple, a)), tuple(map(tuple, b)))
-    word_from_dickson(ctx, prod)
-    return prod
-
-
-def dickson_transpose(ctx: FieldCtx, w: Word) -> Word:
-    """Word whose Dickson matrix is the transpose of w's."""
-    m = ctx.m
-    frob = ctx.frobenius
-    return tuple(w[0] if i == 0 else frob(w[m - i], i) for i in range(m))
-
-
-@dataclass(frozen=True)
-class AutElt:
-    """One element of the rank-preserving automorphism action on forms.
-
-    Applied as: Frobenius p^frob_power entrywise, optional transpose, then
-    the sandwich  D(d1)^T * M * D(d2).  d1 and d2 must have rank m.  Only
-    rank invariance is promised; the sandwich convention is fixed here.
-    """
-
-    d1: Word
-    d2: Word
-    transpose: bool = False
-    frob_power: int = 0
-
-
-def apply_aut(ctx: FieldCtx, e: AutElt, w: Word) -> Word:
-    if rank(ctx, e.d1) != ctx.m or rank(ctx, e.d2) != ctx.m:
-        raise ValueError("automorphism components must be invertible (rank m)")
-    if e.frob_power % ctx.degree:
-        p_pow = ctx.p_power
-        w = tuple(p_pow(a, e.frob_power) for a in w)
-    if e.transpose:
-        w = dickson_transpose(ctx, w)
-    return compose(ctx, compose(ctx, dickson_transpose(ctx, e.d1), w), e.d2)

@@ -1,18 +1,37 @@
 """Independent reference arithmetic for the test oracles.
 
-Everything here works on little-endian coefficient lists over F_p with
-schoolbook polynomial multiplication and explicit reduction by the modulus.
-No discrete-log or Zech tables are involved, so agreement with the package
-arithmetic is a genuine cross-check.
+Everything in the first part works on little-endian coefficient lists over
+F_p with schoolbook polynomial multiplication and explicit reduction by the
+modulus.  No discrete-log or Zech tables are involved, so agreement with
+the package arithmetic is a genuine cross-check.
 
-The one exception is `spread_partition` at the end: it builds the whole
-spread of PG(m^2-1, q) with the package's field multiplication, scaling
-each word coordinate by coordinate, where the package reads one spread
-element at a time as exp-table windows.
+The second part holds routes the package does not run, kept as the tests'
+second route to what the package computes: the spread partition, word
+arithmetic, Dickson matrices and their rank over F_{q^m}, root spaces,
+composition and the automorphism action, projective images and linear
+sets, the Segre variety of rank-one F_q matrices, the field-reduction
+congruence at one word, and the points of the CMP curve.  These use the
+package's field tables and scalar operations.  None reads points as
+exp-table windows of base rows, and only `rank` (a word's `column_rank`
+against the zero word, the tests' shorthand for that kernel) ranks through
+the pair kernel.
 """
 
-from dickson_mrd.geometry import proj_points_iter
-from dickson_mrd.linforms import word_scale
+import itertools
+from dataclasses import dataclass
+
+from dickson_mrd.cmp_family import _require_plane
+from dickson_mrd.geometry import _both_reductions, _congruent, singer_change_of_basis
+from dickson_mrd.linalg import mat_mul, mat_rank, rref
+from dickson_mrd.linforms import (
+    column_rank,
+    dickson,
+    linmap_fq_matrix,
+    proj_normalize,
+    rank_tables,
+    word_scale,
+    zero_word,
+)
 
 
 def decode(ctx, x):
@@ -98,6 +117,10 @@ def ref_x_order(modulus, p):
     return 0
 
 
+# ----------------------------------------------------------------------
+# the spread partition
+# ----------------------------------------------------------------------
+
 def spread_partition(ctx):
     """The full partition of PG(m^2-1, q) into F_{q^m}-line classes, each
     element keyed by its point r of PG(m-1, q^m) and given as the normal
@@ -115,3 +138,239 @@ def spread_partition(ctx):
     if len(union) != len(elements) * s or len(union) != n_points:
         raise RuntimeError("spread is not a partition")
     return elements
+
+
+# ----------------------------------------------------------------------
+# words, linearized polynomials and Dickson matrices
+# ----------------------------------------------------------------------
+
+def word_sub(ctx, w1, w2):
+    sub = ctx.sub
+    return tuple(sub(a, b) for a, b in zip(w1, w2))
+
+
+def eval_linpoly(ctx, w, x):
+    """Evaluate the linearized polynomial of w at x."""
+    acc = 0
+    add, mul, frob = ctx.add, ctx.mul, ctx.frobenius
+    for i, a in enumerate(w):
+        if a:
+            acc = add(acc, mul(a, frob(x, i)))
+    return acc
+
+
+def form_eval(ctx, w, x, xp):
+    """The bilinear form of w: Tr(L_w(x') * x).  Takes values in F_q."""
+    return ctx.trace(ctx.mul(eval_linpoly(ctx, w, xp), x))
+
+
+def rank(ctx, w):
+    """Rank of the bilinear form of w (= m - dim of the root space)."""
+    return column_rank(linmap_fq_matrix(ctx, w), zero_word(ctx), rank_tables(ctx))
+
+
+def fq_nullspace(ctx, rows):
+    """Deterministic basis of the right null space of an F_q matrix (rows
+    of canonical subfield indices), one vector per free column, read off
+    the reduced form of the rows lifted into F_{q^m}."""
+    elems, index = ctx.fq_elems, ctx.fq_index
+    ncols = len(rows[0]) if rows else 0
+    mat, pivots = rref(ctx, [[elems[x] for x in r] for r in rows])
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for row, pc in zip(mat, pivots):
+            vec[pc] = index(ctx.neg(row[free]))
+        basis.append(tuple(vec))
+    return basis
+
+
+def kernel(ctx, w):
+    """Deterministic F_q-basis of the root space {x : L_w(x) = 0},
+    as field elements."""
+    rows = list(zip(*map(ctx.coords, linmap_fq_matrix(ctx, w))))
+    return [ctx.from_fq_coords(vec) for vec in fq_nullspace(ctx, rows)]
+
+
+def word_from_dickson(ctx, mat):
+    """Recover the generating word, checking the q-circulant structure."""
+    m = ctx.m
+    w = tuple(mat[0])
+    frob = ctx.frobenius
+    for i in range(1, m):
+        for j in range(m):
+            if mat[i][j] != frob(w[(j - i) % m], i):
+                raise RuntimeError("matrix is not a Dickson matrix")
+    return w
+
+
+def dickson_rank(ctx, w):
+    """Matrix rank of the Dickson matrix over F_{q^m} (cross-check route)."""
+    return mat_rank(ctx, dickson(ctx, w))
+
+
+def compose(ctx, wa, wb):
+    """Composition of linearized polynomials, reduced mod x^(q^m) - x.
+
+    Matches the Dickson matrix product: D(compose(a, b)) = D(a) * D(b).
+    """
+    m = ctx.m
+    add, mul, frob = ctx.add, ctx.mul, ctx.frobenius
+    out = [0] * m
+    for i, a in enumerate(wa):
+        if not a:
+            continue
+        for j, b in enumerate(wb):
+            if b:
+                k = (i + j) % m
+                out[k] = add(out[k], mul(a, frob(b, i)))
+    return tuple(out)
+
+
+def dickson_mul(ctx, a, b):
+    """Product of two Dickson matrices; raises if the product loses the
+    q-circulant structure (which would signal an arithmetic bug)."""
+    prod = mat_mul(ctx, tuple(map(tuple, a)), tuple(map(tuple, b)))
+    word_from_dickson(ctx, prod)
+    return prod
+
+
+def dickson_transpose(ctx, w):
+    """Word whose Dickson matrix is the transpose of w's."""
+    m = ctx.m
+    frob = ctx.frobenius
+    return tuple(w[0] if i == 0 else frob(w[m - i], i) for i in range(m))
+
+
+@dataclass(frozen=True)
+class AutElt:
+    """One element of the rank-preserving automorphism action on forms.
+
+    Applied as: Frobenius p^frob_power entrywise, optional transpose, then
+    the sandwich  D(d1)^T * M * D(d2).  d1 and d2 must have rank m.  Only
+    rank invariance is promised; the sandwich convention is fixed here.
+    """
+
+    d1: tuple
+    d2: tuple
+    transpose: bool = False
+    frob_power: int = 0
+
+
+def apply_aut(ctx, e, w):
+    if rank(ctx, e.d1) != ctx.m or rank(ctx, e.d2) != ctx.m:
+        raise ValueError("automorphism components must be invertible (rank m)")
+    if e.frob_power % ctx.degree:
+        p_pow = ctx.p_power
+        w = tuple(p_pow(a, e.frob_power) for a in w)
+    if e.transpose:
+        w = dickson_transpose(ctx, w)
+    return compose(ctx, compose(ctx, dickson_transpose(ctx, e.d1), w), e.d2)
+
+
+# ----------------------------------------------------------------------
+# points, linear sets, the Segre variety and the field reduction
+# ----------------------------------------------------------------------
+
+def proj_image(ctx, vectors):
+    """Normalized, deduplicated projective image of a set of vectors."""
+    return frozenset(
+        proj_normalize(ctx, v) for v in vectors if any(v)
+    )
+
+
+def proj_points_iter(ctx):
+    """Canonical points of PG(m-1, q^m), grouped by first nonzero position."""
+    m = ctx.m
+    els = [0] + list(ctx.exp)
+    for lead in range(m):
+        head = (0,) * lead + (1,)
+        for tail in itertools.product(els, repeat=m - 1 - lead):
+            yield head + tail
+
+
+def span_fq(ctx, basis):
+    """The F_q-span of the given vectors (all q^r combinations)."""
+    vecs = set()
+    n = len(basis[0]) if basis else 0
+    for cs in itertools.product(ctx.fq_elems, repeat=len(basis)):
+        acc = [0] * n
+        for c, b in zip(cs, basis):
+            if c:
+                for i, x in enumerate(b):
+                    acc[i] = ctx.add(acc[i], ctx.mul(c, x))
+        vecs.add(tuple(acc))
+    return vecs
+
+
+def is_scattered(ctx, basis):
+    """Whether the linear set of the F_q-space spanned by `basis` attains
+    the maximal point count (q^r - 1)/(q - 1), r = len(basis)."""
+    r = len(basis)
+    span = span_fq(ctx, basis)
+    if len(span) != ctx.q ** r:
+        raise ValueError("basis is F_q-dependent")
+    points = proj_image(ctx, span)
+    return len(points) == (ctx.q ** r - 1) // (ctx.q - 1)
+
+
+def fq_vector_reps(ctx):
+    """Projective representatives of F_q^m: first nonzero index equals 1."""
+    reps = []
+    for lead in range(ctx.m):
+        for tail in itertools.product(range(ctx.q), repeat=ctx.m - 1 - lead):
+            reps.append((0,) * lead + (1,) + tail)
+    return reps
+
+
+def tensor_normalize(ctx, t):
+    """Scale a nonzero F_q matrix so its first nonzero entry (row-major) is 1."""
+    for row in t:
+        for e in row:
+            if e:
+                inv = ctx.fq_inv[e]
+                mrow = ctx.fq_mul[inv]
+                return tuple(tuple(mrow[x] for x in r) for r in t)
+    raise ValueError("cannot normalize the zero matrix")
+
+
+def segre_points(ctx):
+    """Projective rank-1 matrices over F_q: the Segre image of all pairs of
+    projective column/row vectors."""
+    reps = fq_vector_reps(ctx)
+    mul = ctx.fq_mul
+    out = set()
+    for col in reps:
+        for row in reps:
+            out.add(tuple(tuple(mul[a][b] for b in row) for a in col))
+    expected = len(reps) ** 2
+    if len(out) != expected:
+        raise RuntimeError("rank-1 factorization collision")
+    return frozenset(out)
+
+
+def check_reduction_congruence(ctx, w):
+    """cyclic_reduce(w) == C * field_reduce(C^-1 w) * C^T, entrywise."""
+    c, cinv = singer_change_of_basis(ctx)
+    return _congruent(ctx, c, *_both_reductions(ctx, cinv, w))
+
+
+# ----------------------------------------------------------------------
+# the CMP curve
+# ----------------------------------------------------------------------
+
+def curve_equation_holds(ctx, p):
+    """X1 * X2^q - X3^(q+1) = 0 at the point."""
+    q = ctx.q
+    lhs = ctx.mul(p[0], ctx.pow(p[1], q))
+    rhs = ctx.pow(p[2], q + 1)
+    return lhs == rhs
+
+
+def curve_points(ctx):
+    """All points of PG(2, q^3) on the curve X1 * X2^q - X3^(q+1) = 0."""
+    _require_plane(ctx)
+    return frozenset(p for p in proj_points_iter(ctx) if curve_equation_holds(ctx, p))

