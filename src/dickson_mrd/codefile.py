@@ -97,9 +97,10 @@ def _element(ctx: FieldCtx, cs: list, key: str) -> int:
 
 
 def _words_from_lists(ctx: FieldCtx, ws: list, elements: Memo) -> frozenset:
-    """The words of a component's "words" list.  Types are checked in C-level
-    passes before any lookup, since True and 1.0 hash like 1; `elements`
-    maps a coefficient tuple to its element and checks length and range."""
+    """The words of a component's "words" list, each listed once.  Types are
+    checked in C-level passes before any lookup, since True and 1.0 hash
+    like 1; `elements` maps a coefficient tuple to its element and checks
+    length and range."""
     m = ctx.m
     if not ({list}.issuperset(map(type, ws)) and {m}.issuperset(map(len, ws))
             and {list}.issuperset(map(type, chain.from_iterable(ws)))
@@ -107,7 +108,10 @@ def _words_from_lists(ctx: FieldCtx, ws: list, elements: Memo) -> frozenset:
         raise ValueError(f"key 'words' must hold lists of {m} elements, "
                          "each a list of integers")
     get = elements.__getitem__
-    return frozenset(tuple(map(get, map(tuple, w))) for w in ws)
+    words = frozenset(tuple(map(get, map(tuple, w))) for w in ws)
+    if len(words) != len(ws):
+        raise ValueError("key 'words' lists a word twice")
+    return words
 
 
 # ----------------------------------------------------------------------

@@ -23,16 +23,16 @@ coordinates = C * u-coordinates, and the congruence
     cyclic_reduce(w) == C * field_reduce(C^-1 w) * C^T
 
 holds for every w, which is why both routes give the same rank everywhere.
-Both sides are F_q-linear in w, so `reduction_proved` proves it on an
-F_q-basis of the m^2-dimensional word space.
+Both sides are F_q-linear in w, so `verify_reduction_equivalence` proves it
+on an F_q-basis of the m^2-dimensional word space and evaluates no other
+vector.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Sized, Tuple
 
 from .codes import Component, RankCode, Report, _row_multiples, disjoint_union, kind_component
 from .gfield import FieldCtx
@@ -41,9 +41,6 @@ from .linforms import Word, dickson, proj_normalize
 
 ProjPoint = Tuple[int, ...]
 TensorMat = Tuple[Tuple[int, ...], ...]
-
-REDUCTION_SAMPLE_SEED = 0x51CA7
-
 
 # ----------------------------------------------------------------------
 # points of PG(m-1, q^m)
@@ -142,55 +139,30 @@ class ReductionReport(Report):
         return self.proved and self.congruence_failures == 0 and self.rank_failures == 0
 
 
-def reduction_sample(ctx: FieldCtx, count: int) -> List[Tuple[int, ...]]:
-    """Deterministic sample of nonzero Singer-coordinate tuples."""
-    rng = random.Random(REDUCTION_SAMPLE_SEED)
-    els = [0] + list(ctx.exp)
-    out = []
-    while len(out) < count:
-        w = tuple(rng.choice(els) for _ in range(ctx.m))
-        if any(w):
-            out.append(w)
-    return out
+def verify_reduction_equivalence(ctx: FieldCtx, sample: Sized) -> ReductionReport:
+    """The two field-reduction routes agree (congruence and rank) on every
+    vector, so on each of the len(sample) vectors the report names as
+    checked; the sample itself is never read.
 
-
-def _route_failures(ctx: FieldCtx, vectors: Iterable[Sequence[int]]) -> Tuple[int, int]:
-    """(congruence failures, rank failures) of the two routes over the
-    vectors, each route computed once per vector."""
+    Both routes are F_q-linear in w, so the congruence holds everywhere
+    once it holds on the F_q-basis g^j e_i of the word space; and with
+    C * C^-1 = I the congruence makes the ranks agree, since C is
+    invertible and a matrix's rank does not depend on the field it is read
+    over.  The two rank kernels are compared on the basis as well.  When
+    that proof fails, the report counts the failures on the m^2 basis words
+    it evaluated."""
     c, cinv = singer_change_of_basis(ctx)
-    bad_cong = 0
-    bad_rank = 0
-    for w in vectors:
+    m = ctx.m
+    bad_cong = bad_rank = 0
+    for i, j in itertools.product(range(m), repeat=2):
+        w = tuple(ctx.exp[j] if k == i else 0 for k in range(m))
         d, x = _both_reductions(ctx, cinv, w)
         bad_cong += not _congruent(ctx, c, d, x)
         bad_rank += mat_rank(ctx, d) != fq_rank(ctx, x)
-    return bad_cong, bad_rank
-
-
-def reduction_proved(ctx: FieldCtx) -> bool:
-    """Whether the congruence and the rank agreement hold for all q^(m^2)
-    words.  Both routes are F_q-linear in w, so the congruence holds
-    everywhere once it holds on the F_q-basis g^j e_i of the word space;
-    and with C * C^-1 = I the congruence makes the ranks agree, since C is
-    invertible and a matrix's rank does not depend on the field it is read
-    over.  The two rank kernels are compared on the basis as well."""
-    c, cinv = singer_change_of_basis(ctx)
-    m = ctx.m
     identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-    basis = (tuple(ctx.exp[j] if k == i else 0 for k in range(m))
-             for i, j in itertools.product(range(m), repeat=2))
-    return mat_mul(ctx, c, cinv) == identity and _route_failures(ctx, basis) == (0, 0)
-
-
-def verify_reduction_equivalence(ctx: FieldCtx,
-                                 sample: Sequence[Sequence[int]]) -> ReductionReport:
-    """The two field-reduction routes agree (congruence and rank) on every
-    sampled vector.  When `reduction_proved` holds, that follows for every
-    vector and the sample is not evaluated; otherwise the report is not ok
-    and counts the failures on the sample."""
-    if reduction_proved(ctx):
+    if mat_mul(ctx, c, cinv) == identity and bad_cong == bad_rank == 0:
         return ReductionReport(len(sample), 0, 0)
-    return ReductionReport(len(sample), *_route_failures(ctx, sample), proved=False)
+    return ReductionReport(m * m, bad_cong, bad_rank, proved=False)
 
 
 # ----------------------------------------------------------------------
@@ -215,14 +187,6 @@ def spread_element_points(ctx: FieldCtx, rep: Sequence[int]) -> FrozenSet[Word]:
 def spread_point_count(ctx: FieldCtx) -> int:
     """Number of points of PG(m^2-1, q)."""
     return (ctx.q ** (ctx.m * ctx.m) - 1) // (ctx.q - 1)
-
-
-def segre_word_classes(ctx: FieldCtx) -> FrozenSet[Word]:
-    """The standard Segre variety of PG(m^2-1, q) on the Dickson side: the
-    F_q-classes of the words (c x, c x^q, ..., c x^(q^(m-1))) over nonzero
-    c, x, which form the Singer-pair orbit pi(1) of the generator
-    (1, ..., 1)."""
-    return orbit_points(ctx, kind_component(ctx, "PI", 1), ctx.subfield_index)
 
 
 # ----------------------------------------------------------------------
@@ -431,8 +395,11 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
             axis_ok &= spread_element_points(ctx, c.orbit_rep) == pts
             used_elements.append(pts)
 
-    # pi components are Segre varieties: tau-images of the standard one
-    base_segre = segre_word_classes(ctx)
+    # pi components are Segre varieties: tau-images of the standard one,
+    # pi(1).  tau is diagonal, so F_{q^m}-linear, and carries each of the s
+    # lines of pi(1) onto a line; an image of s^2 classes on the s mapped
+    # lines, which are disjoint and hold s^2 classes, is their union
+    base_rows = kind_component(ctx, "PI", 1).rows
     segre_counts = {}
     segre_equiv = True
     image_in_spread = True
@@ -442,9 +409,8 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
         segre_counts[c.tag(ctx)] = len(image)
         # tau's factors, once per component: tau scales coordinate k alone
         f = tau(ctx, ctx.norm_fiber(c.a)[0], (1,) * ctx.m)
-        mapped = frozenset(proj_normalize(ctx, tuple(map(ctx.mul, f, w)), per)
-                           for w in base_segre)
-        segre_equiv &= mapped == image and len(image) == per * per
+        mapped = {proj_normalize(ctx, tuple(map(ctx.mul, f, r))) for r in base_rows}
+        segre_equiv &= mapped == set(groups) and len(image) == per * per
         for rep, pts in groups.items():
             image_in_spread &= spread_element_points(ctx, rep) == pts
             used_elements.append(pts)

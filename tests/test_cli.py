@@ -214,6 +214,17 @@ def test_geometry_command(tmp_path, capsys):
     assert rep["reduction_equivalence"]["checked"] == 200
 
 
+def test_geometry_sample_count_is_only_a_number(capsys):
+    # the reduction identity is proved on a basis, so 10^9 vectors cost
+    # nothing: none is drawn or evaluated
+    code, text, _ = run(capsys, "geometry", "--p", "3", "--m", "3",
+                        "--set", "2", "--sample", "1000000000")
+    rep = json.loads(text)
+    assert (code, rep["ok"]) == (0, True)
+    assert rep["reduction_equivalence"] == {"checked": 1000000000, "congruence_failures": 0,
+                                            "rank_failures": 0, "ok": True}
+
+
 def test_geometry_command_skips_large_spread(capsys):
     code, text, _ = run(capsys, "geometry", "--p", "2", "--h", "2", "--m", "3",
                         "--set", "g21,g42", "--sample", "100")
@@ -225,9 +236,16 @@ def test_geometry_command_skips_large_spread(capsys):
 
 def test_geometry_exit_code_reads_the_whole_spread_report_beyond_the_printed_bound(
         capsys, monkeypatch):
-    # an empty standard Segre variety fails only segre_equivalent, which
-    # the printed Dickson-side projection does not carry
-    monkeypatch.setattr(ge, "segre_word_classes", lambda ctx: frozenset())
+    # a tau whose last factor is off by g maps the standard Segre variety
+    # off the pi image: that fails only segre_equivalent, which the printed
+    # Dickson-side projection does not carry
+    tau = ge.tau
+
+    def off_tau(ctx, alpha, v):
+        *head, last = tau(ctx, alpha, v)
+        return (*head, ctx.mul(ctx.g, last))
+
+    monkeypatch.setattr(ge, "tau", off_tau)
     code, text, _ = run(capsys, "geometry", "--p", "2", "--h", "2", "--m", "3",
                         "--set", "g21", "--sample", "10")
     rep = json.loads(text)
@@ -341,6 +359,20 @@ def test_file_with_overlapping_components_exits_two(tmp_path, capsys, f27):
     assert code == 2
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0] == "error: file components overlap"
+
+
+@pytest.mark.parametrize("command", ["verify", "distdist"])
+def test_file_with_a_word_listed_twice_in_one_component_exits_two(tmp_path, capsys, f27, command):
+    # 730 entries, 729 distinct words: the repeat is no word of its own
+    doc = codefile.code_to_dict(cd.build_family(f27, [2]))
+    pi = next(c for c in doc["components"] if c["kind"] == "PI")
+    pi["words"].append(pi["words"][0])
+    assert sum(len(c["words"]) for c in doc["components"]) == 730
+    bad = tmp_path / "repeat.json"
+    codefile.write_json(bad, doc)
+    code, text, err = run(capsys, command, str(bad))
+    assert (code, text) == (2, "")
+    assert err.splitlines() == ["error: key 'words' lists a word twice"]
 
 
 @pytest.mark.parametrize("command", ["verify", "distdist"])

@@ -283,6 +283,47 @@ def test_family_match_sees_one_word_mapped_outside_the_family(f27, monkeypatch):
     assert rep.set_equal is False and rep.ok is False
 
 
+def _swapped_axis_partners(monkeypatch):
+    """theta's axis partners swapped, A1 -> A1 and A2' -> A2: each axis image
+    is compared with the other axis, and the images' union stays the same."""
+    monkeypatch.setitem(cf._THETA_KIND, "A1", "A1")
+    monkeypatch.setitem(cf._THETA_KIND, "A2P", "A2")
+
+
+def _claimed_distance_m(monkeypatch):
+    """The same Dickson-model family handed over with claimed distance m."""
+    build = cf.build_family
+
+    def claimed_m(ctx, I, *registry):
+        code = build(ctx, I, *registry)
+        return code if registry else cd.RankCode(ctx, ctx.m, code.components)
+
+    monkeypatch.setattr(cf, "build_family", claimed_m)
+
+
+FAMILY_MATCH_MUTATIONS = {
+    "component_matches": _swapped_axis_partners,
+    "mrd": _claimed_distance_m,
+}
+
+
+@pytest.mark.parametrize("field", list(FAMILY_MATCH_MUTATIONS))
+def test_each_family_match_field_is_flipped_by_one_input(f27, monkeypatch, field):
+    # set_equal has no mutation of its own: when every tag matches, no
+    # image is None and the unions are equal, so it flips only with a match
+    def fields(rep):
+        return {"component_matches": all(rep.component_matches.values()),
+                "set_equal": rep.set_equal, "mrd": rep.mrd.mrd}
+
+    before = fields(cf.verify_family_match(cf.Orbits(f27), [2]))
+    assert all(before.values())
+    FAMILY_MATCH_MUTATIONS[field](monkeypatch)
+    rep = cf.verify_family_match(cf.Orbits(f27), [2])
+    after = fields(rep)
+    assert {name for name in after if after[name] != before[name]} == {field}
+    assert rep.ok is False
+
+
 def test_orbits_holds_no_second_copy_of_an_orbit_and_no_reference_cycle(f27):
     # the reports read points, so no row-built component closes its word
     # set, and the store is freed by reference counting alone
@@ -393,6 +434,16 @@ def test_component_maps_see_a_wrong_j_partner_alone(f27):
     maps = cf.verify_component_maps(orbits)
     assert maps["2"]["z_to_j"] is False and maps["1"]["z_to_j"] is True
     assert all(v["gamma_to_pi"] for v in maps.values())
+
+
+def test_component_maps_see_a_wrong_pi_partner_alone(f27):
+    # pi(1/2) replaced by pi(1): gamma(2) no longer maps onto its partner,
+    # while gamma(1) and every Z component still do
+    orbits = cf.Orbits(f27)
+    orbits["PI", f27.inv(2)] = orbits["PI", 1]
+    maps = cf.verify_component_maps(orbits)
+    assert maps["2"]["gamma_to_pi"] is False and maps["1"]["gamma_to_pi"] is True
+    assert all(v["z_to_j"] for v in maps.values())
 
 
 def test_curve_splash_validation(f27, f81):

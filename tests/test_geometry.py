@@ -259,18 +259,36 @@ def test_reduction_congruence_on_structured_vectors(f27):
 
 
 def test_reduction_equivalence_sampled(f27):
-    report = ge.verify_reduction_equivalence(f27, ge.reduction_sample(f27, 2000))
+    report = ge.verify_reduction_equivalence(f27, range(2000))
     assert report.ok
     assert report.checked == 2000
 
 
 def test_reduction_equivalence_sampled_q4(f64):
-    report = ge.verify_reduction_equivalence(f64, ge.reduction_sample(f64, 300))
+    report = ge.verify_reduction_equivalence(f64, range(300))
     assert report.ok
 
 
-def test_reduction_sample_is_deterministic(f27):
-    assert ge.reduction_sample(f27, 50) == ge.reduction_sample(f27, 50)
+class _Unread:
+    """A sized sample whose vectors must not be read."""
+
+    def __len__(self):
+        return 10 ** 9
+
+    def __iter__(self):
+        raise AssertionError("the sample was iterated")
+
+    def __getitem__(self, index):
+        raise AssertionError("the sample was indexed")
+
+
+@pytest.mark.parametrize("fixture", ["f27", "f64", "f81"])
+def test_reduction_report_reads_only_the_sample_length(fixture, request):
+    ctx = request.getfixturevalue(fixture)
+    report = ge.verify_reduction_equivalence(ctx, _Unread())
+    assert report == ge.ReductionReport(10 ** 9, 0, 0)
+    assert report.as_dict() == {"checked": 10 ** 9, "congruence_failures": 0,
+                                "rank_failures": 0, "ok": True}
 
 
 @pytest.mark.parametrize("fixture", ["f27", "f64", "f125", "f81"])
@@ -299,17 +317,18 @@ def test_both_reduction_routes_are_fq_linear(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["f27", "f125", "f81"])
 def test_derived_reduction_report_equals_the_sample_loop(fixture, request):
-    # the independent route: both reductions of every vector of the CLI's
-    # default sample, with the rank kernels compared vector by vector
+    # the independent route: both reductions of 10,000 drawn nonzero
+    # vectors, the CLI's default count, with the rank kernels compared
+    # vector by vector
     ctx = request.getfixturevalue(fixture)
-    sample = ge.reduction_sample(ctx, 10000)
+    sample = sample_words(ctx, 10000, seed=ctx.order)
+    assert len(sample) == 10000
     c, cinv = ge.singer_change_of_basis(ctx)
     bad_cong = 0
     for w in sample:
         d, x = ge._both_reductions(ctx, cinv, w)
         bad_cong += not ge._congruent(ctx, c, d, x)
         assert mat_rank(ctx, d) == fq_rank(ctx, x), w
-    assert ge.reduction_proved(ctx)
     report = ge.verify_reduction_equivalence(ctx, sample)
     assert report == ge.ReductionReport(10000, bad_cong, 0) == ge.ReductionReport(10000, 0, 0)
     assert report.as_dict() == {"checked": 10000, "congruence_failures": 0,
@@ -342,29 +361,45 @@ GEOMETRY_FIELDS = {
 }
 
 
+def basis_route_failures(ctx):
+    """(congruence failures, rank failures) of the two routes, as the module
+    builds them, over the m^2 basis words g^j e_i, one word at a time."""
+    c, cinv = ge.singer_change_of_basis(ctx)
+    bad_cong = bad_rank = 0
+    for i in range(ctx.m):
+        for j in range(ctx.m):
+            w = lf.word_scale(ctx, ctx.pow(ctx.g, j), tuple(int(k == i) for k in range(ctx.m)))
+            d = ge.cyclic_reduce(ctx, w)
+            x = ge.field_reduce(ctx, mat_vec(ctx, cinv, w))
+            xe = tuple(tuple(ctx.fq_elem(e) for e in row) for row in x)
+            bad_cong += d != mat_mul(ctx, mat_mul(ctx, c, xe), mat_transpose(c))
+            bad_rank += mat_rank(ctx, d) != fq_rank(ctx, x)
+    return bad_cong, bad_rank
+
+
 @pytest.mark.parametrize("mutation, fixture, congruence_failures, rank_failures", [
-    ("transposed_dickson", "f27", 192, 0),
-    ("transposed_dickson", "f125", 198, 0),
-    ("transposed_dickson", "f81", 200, 0),
-    ("wrong_cinv_entry", "f27", 193, 84),
-    ("wrong_cinv_entry", "f125", 198, 69),
-    ("wrong_cinv_entry", "f81", 195, 70),
-    ("scaled_field_reduce", "f27", 200, 0),
-    ("scaled_field_reduce", "f125", 200, 0),
-    ("scaled_field_reduce", "f81", 200, 0),
+    ("transposed_dickson", "f27", 6, 0),
+    ("transposed_dickson", "f125", 6, 0),
+    ("transposed_dickson", "f81", 11, 0),
+    ("wrong_cinv_entry", "f27", 3, 0),
+    ("wrong_cinv_entry", "f125", 3, 0),
+    ("wrong_cinv_entry", "f81", 4, 0),
+    ("scaled_field_reduce", "f27", 9, 0),
+    ("scaled_field_reduce", "f125", 9, 0),
+    ("scaled_field_reduce", "f81", 16, 0),
 ])
 def test_broken_reduction_route_fails_the_proof_and_geometry(
         mutation, fixture, congruence_failures, rank_failures, request, monkeypatch, capsys):
-    # the expected counts are what the per-vector loop alone gives on the
-    # same 200-vector sample
+    # a failed proof reports the m^2 basis words it evaluated, with the
+    # counts the per-word loop alone gives on them
     ctx = request.getfixturevalue(fixture)
     monkeypatch.setattr(ge, *REDUCTION_MUTATIONS[mutation])
-    assert not ge.reduction_proved(ctx)
+    assert basis_route_failures(ctx) == (congruence_failures, rank_failures)
     code = cli.main(["geometry", *GEOMETRY_FIELDS[fixture], "--sample", "200"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1 and report["ok"] is False
     assert report["reduction_equivalence"] == {
-        "checked": 200, "congruence_failures": congruence_failures,
+        "checked": ctx.m ** 2, "congruence_failures": congruence_failures,
         "rank_failures": rank_failures, "ok": False}
 
 
@@ -408,7 +443,7 @@ def test_segre_points_count_and_membership(f27):
 
 
 def test_segre_word_classes(f27):
-    sw = ge.segre_word_classes(f27)
+    sw = ge.orbit_points(f27, cd.kind_component(f27, "PI", 1), 13)
     assert len(sw) == 169
     pi1 = cd.kind_component(f27, "PI", 1).words
     assert sw == frozenset(ge.proj_normalize(f27, w, 13) for w in pi1)
@@ -417,13 +452,38 @@ def test_segre_word_classes(f27):
 
 
 def test_segre_invariant_only_under_norm_one_tau(f27):
-    sw = ge.segre_word_classes(f27)
+    sw = ge.orbit_points(f27, cd.kind_component(f27, "PI", 1), 13)
     for alpha in (f27.exp[13], f27.exp[2], f27.g):
         mapped = frozenset(ge.proj_normalize(f27, ge.tau(f27, alpha, w), 13) for w in sw)
         if f27.norm(alpha) == 1:
             assert mapped == sw
         else:
             assert not (mapped & sw)
+
+
+@pytest.mark.parametrize("fixture", ["f27", "f64", "f125"])
+@pytest.mark.parametrize("off_by_g", [False, True])
+def test_segre_check_on_rows_equals_the_class_set_comparison(fixture, off_by_g, request,
+                                                             monkeypatch):
+    # the s^2 standard Segre classes mapped by tau against each PI image's
+    # classes, with tau as it is and with its last factor off by g
+    ctx = request.getfixturevalue(fixture)
+    s = ctx.subfield_index
+    if off_by_g:
+        tau = ge.tau
+
+        def off_tau(ctx, alpha, v):
+            *head, last = tau(ctx, alpha, v)
+            return (*head, ctx.mul(ctx.g, last))
+
+        monkeypatch.setattr(ge, "tau", off_tau)
+    fam = cd.build_family(ctx, ctx.fq_elems[2:])
+    standard = {ge.proj_normalize(ctx, w, s) for w in cd.kind_component(ctx, "PI", 1).words}
+    want = all(
+        {ge.proj_normalize(ctx, ge.tau(ctx, ctx.norm_fiber(c.a)[0], w), s) for w in standard}
+        == {ge.proj_normalize(ctx, w, s) for w in c.words}
+        for c in fam.components if c.kind == "PI")
+    assert ge.verify_spread_decomposition(fam).segre_equivalent is want is (not off_by_g)
 
 
 @pytest.mark.parametrize("fixture", ["f27", "f64", "f125"])
@@ -697,13 +757,15 @@ def test_j_images_on_line_all_parameters(f27, f64):
 
 
 def test_reduction_check_counts_both_failures_on_every_vector(f27, monkeypatch):
-    sample = ge.reduction_sample(f27, 20)
+    # each failure count reaches every one of the 9 basis words
+    sample = range(20)
     with monkeypatch.context() as mp:
         mp.setattr(ge, "fq_rank", lambda ctx, t: -1)
         rep = ge.verify_reduction_equivalence(f27, sample)
-    assert (rep.checked, rep.congruence_failures, rep.rank_failures) == (20, 0, 20)
+    assert (rep.checked, rep.congruence_failures, rep.rank_failures) == (9, 0, 9)
+    assert not rep.ok
     with monkeypatch.context() as mp:
         mp.setattr(ge, "mat_mul", lambda ctx, a, b: ())
         rep = ge.verify_reduction_equivalence(f27, sample)
-    assert (rep.checked, rep.congruence_failures, rep.rank_failures) == (20, 20, 0)
+    assert (rep.checked, rep.congruence_failures, rep.rank_failures) == (9, 9, 0)
     assert not rep.ok
