@@ -9,6 +9,9 @@ Two projective spaces appear:
   of q-circulant (Dickson) generator words, so its points are F_q-classes of
   nonzero words.  F_q* = <g^s>, s = (q^m-1)/(q-1), so a class is named by its
   member with leading coordinate g^j, 0 <= j < s (`proj_normalize(ctx, v, s)`).
+  The classes of a word's F_{q^m}-line are an element of the Desarguesian
+  spread, keyed by the line's point of PG(m-1, q^m); the spread report
+  reads every claim about the family's image off these lines and keys.
 
 The two field reductions of an abstract vector v:
 
@@ -189,31 +192,6 @@ def spread_point_count(ctx: FieldCtx) -> int:
     return (ctx.q ** (ctx.m * ctx.m) - 1) // (ctx.q - 1)
 
 
-# ----------------------------------------------------------------------
-# hyperreguli
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HyperregulusReport:
-    parameter: int
-    members: Tuple[FrozenSet[Word], ...]
-    expected_members: int
-    members_are_line_classes: bool
-    pairwise_disjoint: bool
-    covers_component: bool
-    norm_condition_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            len(self.members) == self.expected_members
-            and self.members_are_line_classes
-            and self.pairwise_disjoint
-            and self.covers_component
-            and self.norm_condition_ok
-        )
-
-
 def orbit_lines(ctx: FieldCtx, comp: Component) -> Dict[ProjPoint, FrozenSet[Word]]:
     """The F_q-classes of a single orbit (`orbit_points` at index s) grouped
     by the F_{q^m}-line they span, keyed by the line's normalized point, in
@@ -228,37 +206,6 @@ def orbit_lines(ctx: FieldCtx, comp: Component) -> Dict[ProjPoint, FrozenSet[Wor
     return {r: frozenset(pts) for r, pts in sorted(groups.items())}
 
 
-def hyperregulus(ctx: FieldCtx, component: Component) -> HyperregulusReport:
-    """The family of spread elements covering the image of a J(a)
-    component in PG(m^2-1, q).
-
-    Every member is the class set of one F_{q^m}-line with generator
-    (1, 0, ..., 0, y); the generators sweep the norm fiber
-    N(y) = (-1)^m * a, which for a = 1 is the classical norm-surface
-    condition.  `covers_component` compares the members' union with the
-    union of the lines through (1, 0, ..., 0, y) over that whole fiber.
-    Each spread line is built once, for the members and the fiber together.
-    """
-    a = component.a
-    groups = orbit_lines(ctx, component)
-    members = tuple(groups.values())
-    target = ctx.neg(a) if ctx.m % 2 else a
-    axis = (1,) + (0,) * (ctx.m - 2)
-    fiber = {axis + (y,) for y in ctx.norm_fiber(target)}
-    lines = {rep: spread_element_points(ctx, rep) for rep in fiber | set(groups)}
-    line_ok = all(member == lines[rep] for rep, member in groups.items())
-    disjoint, union = disjoint_union(members)
-    return HyperregulusReport(
-        parameter=a,
-        members=members,
-        expected_members=ctx.subfield_index,
-        members_are_line_classes=line_ok,
-        pairwise_disjoint=disjoint,
-        covers_component=(union == frozenset().union(*(lines[rep] for rep in fiber))),
-        norm_condition_ok=set(groups) <= fiber,
-    )
-
-
 # ----------------------------------------------------------------------
 # decomposition reports
 # ----------------------------------------------------------------------
@@ -269,10 +216,6 @@ def pairwise_intersections(point_sets: Sequence[FrozenSet]) -> List[List[int]]:
         [len(point_sets[i] & point_sets[j]) for j in range(n)]
         for i in range(n)
     ]
-
-
-def all_disjoint(point_sets: Sequence[FrozenSet]) -> bool:
-    return disjoint_union(point_sets)[0]
 
 
 @dataclass(frozen=True)
@@ -324,7 +267,7 @@ def verify_projective_decomposition(code: RankCode) -> ProjectiveDecompositionRe
     sizes_ok = all(
         len(pts) == (1 if name.startswith("A") else per) for name, pts in named
     )
-    sets = [pts for _, pts in named]
+    meets = pairwise_intersections([pts for _, pts in named])
     line = line_through(ctx, (1,) + (0,) * (m - 1), (0,) * (m - 1) + (1,))
     j_on_line = all(
         pts <= line for name, pts in named if name.startswith("J")
@@ -333,9 +276,9 @@ def verify_projective_decomposition(code: RankCode) -> ProjectiveDecompositionRe
         component_sizes=sizes,
         expected_size=per,
         sizes_ok=sizes_ok,
-        disjoint=all_disjoint(sets),
+        disjoint=not any(n for i, row in enumerate(meets) for j, n in enumerate(row) if i != j),
         j_on_line=j_on_line,
-        intersections=pairwise_intersections(sets),
+        intersections=meets,
     )
 
 
@@ -373,8 +316,10 @@ class SpreadDecompositionReport(Report):
 
 def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
     """Compare the family's F_q-classes with the Desarguesian spread of
-    PG(m^2-1, q), reading each spread element only at the key it is
-    compared at, each built once by `spread_element_points`.
+    PG(m^2-1, q) in one pass over the lines of each nonzero component: a
+    component is whole when each of its lines is the spread element at its
+    key, built once by `spread_element_points`, and every check reads the
+    lines and their keys.
 
     These are the spread's elements with no partition built: every
     F_q-class has one normal form `proj_normalize(w, s)`; it lies on one
@@ -385,15 +330,14 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
     pis, js = _pi_and_j(code)
     ctx = code.ctx
     per = ctx.subfield_index
-    used_elements: List[FrozenSet[Word]] = []
+    comps = [c for c in code.components if c.kind in ("A1", "A2", "PI", "J")]
+    lines = {c: orbit_lines(ctx, c) for c in comps}
+    whole = {c: all(spread_element_points(ctx, key) == pts for key, pts in groups.items())
+             for c, groups in lines.items()}
 
     # the two axis components are single spread elements
-    axis_ok = True
-    for c in code.components:
-        if c.kind in ("A1", "A2"):
-            pts = orbit_points(ctx, c, per)
-            axis_ok &= spread_element_points(ctx, c.orbit_rep) == pts
-            used_elements.append(pts)
+    axis_ok = all(whole[c] and list(lines[c]) == [proj_normalize(ctx, c.orbit_rep)]
+                  for c in lines if c.kind in ("A1", "A2"))
 
     # pi components are Segre varieties: tau-images of the standard one,
     # pi(1).  tau is diagonal, so F_{q^m}-linear, and carries each of the s
@@ -402,39 +346,41 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
     base_rows = kind_component(ctx, "PI", 1).rows
     segre_counts = {}
     segre_equiv = True
-    image_in_spread = True
     for c in pis:
-        groups = orbit_lines(ctx, c)
-        image = frozenset().union(*groups.values())
-        segre_counts[c.tag(ctx)] = len(image)
+        # the lines partition the image, so their sizes add up to its size
+        n = sum(map(len, lines[c].values()))
+        segre_counts[c.tag(ctx)] = n
         # tau's factors, once per component: tau scales coordinate k alone
         f = tau(ctx, ctx.norm_fiber(c.a)[0], (1,) * ctx.m)
         mapped = {proj_normalize(ctx, tuple(map(ctx.mul, f, r))) for r in base_rows}
-        segre_equiv &= mapped == set(groups) and len(image) == per * per
-        for rep, pts in groups.items():
-            image_in_spread &= spread_element_points(ctx, rep) == pts
-            used_elements.append(pts)
+        segre_equiv &= mapped == set(lines[c]) and n == per * per
 
-    hyper = {c.tag(ctx): hyperregulus(ctx, c) for c in js}
-    for rep_report in hyper.values():
-        used_elements.extend(rep_report.members)
+    # a J(a) component is a hyperregulus when it is whole and its keys are
+    # exactly the generators (1, 0, ..., 0, y) over the norm fiber
+    # N(y) = (-1)^m * a (for a = 1 the classical norm-surface condition):
+    # then it is the s disjoint spread elements on the fiber's lines
+    axis = (1,) + (0,) * (ctx.m - 2)
+    hyper = {}
+    for c in js:
+        fiber = ctx.norm_fiber(ctx.neg(c.a) if ctx.m % 2 else c.a)
+        hyper[c.tag(ctx)] = whole[c] and set(lines[c]) == {axis + (y,) for y in fiber}
 
     # the J and axis images lie in the span of the two axis spread
     # elements: on points (so words) supported on the first and last coordinate
     ja = [c for c in code.components if c.kind in ("J", "A1", "A2")]
     ja_in_span = all(not any(p[1:-1]) for c in ja for p in orbit_points(ctx, c))
 
-    expected = 2 + len(pis) * per + len(js) * per
+    used = [pts for c in comps for pts in lines[c].values()]
     return SpreadDecompositionReport(
         axis_elements_ok=axis_ok,
         segre_counts=segre_counts,
         segre_equivalent=segre_equiv,
-        hyperreguli_ok={tag: rep_report.ok for tag, rep_report in hyper.items()},
-        spread_elements_used=len(used_elements),
-        expected_spread_elements=expected,
-        elements_disjoint=all_disjoint(used_elements),
+        hyperreguli_ok=hyper,
+        spread_elements_used=len(used),
+        expected_spread_elements=2 + len(pis) * per + len(js) * per,
+        elements_disjoint=disjoint_union(used)[0],
         ja_in_span=ja_in_span,
-        image_in_spread=image_in_spread,
+        image_in_spread=all(whole[c] for c in pis),
         segre_size=per * per,
     )
 

@@ -193,7 +193,6 @@ class FieldCtx:
         self.g = self.exp[1]
         # q^i mod (q^m - 1) for Frobenius exponent arithmetic
         self._qpow = [pow(self.q, i, self.mult_order) for i in range(m)]
-        self._ppow = [pow(self.p, i, self.mult_order) for i in range(d)]
         self._half = self.mult_order // 2 if p != 2 else 0
         self._build_subfield_tables()
         self._coords_map = None
@@ -299,27 +298,8 @@ class FieldCtx:
             return 0
         return self.exp[(self.log[x] * self._qpow[i % self.m]) % self.mult_order]
 
-    def p_power(self, x: int, k: int) -> int:
-        """x raised to the p^k-th power (k reduced mod h*m)."""
-        if x == 0:
-            return 0
-        return self.exp[(self.log[x] * self._ppow[k % self.degree]) % self.mult_order]
-
-    def trace(self, x: int) -> int:
-        """Relative trace onto F_q: sum of the m conjugates x^(q^j)."""
-        acc = 0
-        for j in range(self.m):
-            acc = self.add(acc, self.frobenius(x, j))
-        return acc
-
-    def norm(self, x: int) -> int:
-        """Relative norm onto F_q: product of the m conjugates."""
-        if x == 0:
-            return 0
-        return self.exp[(self.log[x] * self.subfield_index) % self.mult_order]
-
     def norm_fiber(self, a: int) -> List[int]:
-        """All x with norm(x) = a, ascending by discrete log.  This is the
+        """All x with N(x) = a, ascending by discrete log.  This is the
         one check of an F_q parameter: a must be a nonzero element of F_q."""
         if not a:
             raise ValueError("parameter must be nonzero")
@@ -351,13 +331,6 @@ class FieldCtx:
         if self._coords_map is None:
             self._build_coords()
         return self._coords_map[x]
-
-    def from_fq_coords(self, cs: Sequence[int]) -> int:
-        """Inverse of coords: element sum(fq_elem(c_j) * g^j)."""
-        acc = 0
-        for j, c in enumerate(cs):
-            acc = self.add(acc, self.mul(self.fq_elems[c], self.pow(self.g, j)))
-        return acc
 
     def _build_coords(self) -> None:
         mapping = {}

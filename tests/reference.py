@@ -6,7 +6,9 @@ modulus.  No discrete-log or Zech tables are involved, so agreement with
 the package arithmetic is a genuine cross-check.
 
 The second part holds routes the package does not run, kept as the tests'
-second route to what the package computes: the spread partition, word
+second route to what the package computes: the p-power Frobenius map,
+trace, norm and the inverse of `coords` on the field tables, the spread
+partition and the hyperregulus checks of a J component one by one, word
 arithmetic, Dickson matrices and their rank over F_{q^m}, root spaces,
 composition and the automorphism action, projective images and linear
 sets, the Segre variety of rank-one F_q matrices, the field-reduction
@@ -118,7 +120,41 @@ def ref_x_order(modulus, p):
 
 
 # ----------------------------------------------------------------------
-# the spread partition
+# field maps on the package's tables
+# ----------------------------------------------------------------------
+
+def p_power(ctx, x, k):
+    """x raised to the p^k-th power (k reduced mod h*m)."""
+    if x == 0:
+        return 0
+    return ctx.exp[ctx.log[x] * pow(ctx.p, k % ctx.degree, ctx.mult_order) % ctx.mult_order]
+
+
+def trace(ctx, x):
+    """Relative trace onto F_q: sum of the m conjugates x^(q^j)."""
+    acc = 0
+    for j in range(ctx.m):
+        acc = ctx.add(acc, ctx.frobenius(x, j))
+    return acc
+
+
+def norm(ctx, x):
+    """Relative norm onto F_q: product of the m conjugates."""
+    if x == 0:
+        return 0
+    return ctx.exp[ctx.log[x] * ctx.subfield_index % ctx.mult_order]
+
+
+def from_fq_coords(ctx, cs):
+    """Inverse of `ctx.coords`: the element sum(fq_elem(c_j) * g^j)."""
+    acc = 0
+    for j, c in enumerate(cs):
+        acc = ctx.add(acc, ctx.mul(ctx.fq_elems[c], ctx.pow(ctx.g, j)))
+    return acc
+
+
+# ----------------------------------------------------------------------
+# the spread partition and hyperreguli
 # ----------------------------------------------------------------------
 
 def spread_partition(ctx):
@@ -127,8 +163,7 @@ def spread_partition(ctx):
     forms g^0 r, ..., g^(s-1) r, with sizes, disjointness and cover
     verified."""
     s = ctx.subfield_index
-    elements = {r: frozenset(word_scale(ctx, x, r) for x in ctx.exp[:s])
-                for r in proj_points_iter(ctx)}
+    elements = {r: spread_line(ctx, r) for r in proj_points_iter(ctx)}
     if any(len(pts) != s for pts in elements.values()):
         raise RuntimeError("spread element has wrong size")
     union = set()
@@ -138,6 +173,60 @@ def spread_partition(ctx):
     if len(union) != len(elements) * s or len(union) != n_points:
         raise RuntimeError("spread is not a partition")
     return elements
+
+
+def spread_line(ctx, r):
+    """The spread element of the normalized point r: the normal forms
+    g^0 r, ..., g^(s-1) r."""
+    return frozenset(word_scale(ctx, x, r) for x in ctx.exp[:ctx.subfield_index])
+
+
+@dataclass(frozen=True)
+class HyperregulusReport:
+    parameter: int
+    members: tuple
+    expected_members: int
+    members_are_line_classes: bool
+    pairwise_disjoint: bool
+    covers_component: bool
+    norm_condition_ok: bool
+
+    @property
+    def ok(self):
+        return (
+            len(self.members) == self.expected_members
+            and self.members_are_line_classes
+            and self.pairwise_disjoint
+            and self.covers_component
+            and self.norm_condition_ok
+        )
+
+
+def hyperregulus(ctx, component):
+    """The hyperregulus checks of a J(a) component, one field each.  Its
+    members are the F_q-classes of its words grouped by the F_{q^m}-line
+    they span; each must be a whole spread element, the members disjoint,
+    their union the union of the lines with generators (1, 0, ..., 0, y)
+    over the norm fiber N(y) = (-1)^m * a, and every member's generator in
+    that fiber."""
+    s = ctx.subfield_index
+    groups = {}
+    for w in component.words:
+        groups.setdefault(proj_normalize(ctx, w), set()).add(proj_normalize(ctx, w, s))
+    members = tuple(frozenset(pts) for _, pts in sorted(groups.items()))
+    target = ctx.neg(component.a) if ctx.m % 2 else component.a
+    axis = (1,) + (0,) * (ctx.m - 2)
+    fiber = {axis + (y,) for y in ctx.norm_fiber(target)}
+    union = frozenset().union(*members)
+    return HyperregulusReport(
+        parameter=component.a,
+        members=members,
+        expected_members=s,
+        members_are_line_classes=all(pts == spread_line(ctx, r) for r, pts in groups.items()),
+        pairwise_disjoint=len(union) == sum(map(len, members)),
+        covers_component=union == frozenset().union(*(spread_line(ctx, r) for r in fiber)),
+        norm_condition_ok=set(groups) <= fiber,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -161,7 +250,7 @@ def eval_linpoly(ctx, w, x):
 
 def form_eval(ctx, w, x, xp):
     """The bilinear form of w: Tr(L_w(x') * x).  Takes values in F_q."""
-    return ctx.trace(ctx.mul(eval_linpoly(ctx, w, xp), x))
+    return trace(ctx, ctx.mul(eval_linpoly(ctx, w, xp), x))
 
 
 def rank(ctx, w):
@@ -192,7 +281,7 @@ def kernel(ctx, w):
     """Deterministic F_q-basis of the root space {x : L_w(x) = 0},
     as field elements."""
     rows = list(zip(*map(ctx.coords, linmap_fq_matrix(ctx, w))))
-    return [ctx.from_fq_coords(vec) for vec in fq_nullspace(ctx, rows)]
+    return [from_fq_coords(ctx, vec) for vec in fq_nullspace(ctx, rows)]
 
 
 def word_from_dickson(ctx, mat):
@@ -264,8 +353,7 @@ def apply_aut(ctx, e, w):
     if rank(ctx, e.d1) != ctx.m or rank(ctx, e.d2) != ctx.m:
         raise ValueError("automorphism components must be invertible (rank m)")
     if e.frob_power % ctx.degree:
-        p_pow = ctx.p_power
-        w = tuple(p_pow(a, e.frob_power) for a in w)
+        w = tuple(p_power(ctx, a, e.frob_power) for a in w)
     if e.transpose:
         w = dickson_transpose(ctx, w)
     return compose(ctx, compose(ctx, dickson_transpose(ctx, e.d1), w), e.d2)

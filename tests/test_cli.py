@@ -569,10 +569,10 @@ def test_each_theta_image_splash_and_spread_line_is_derived_once(capsys, monkeyp
     # carries 31 (resp. 21) splash points per a.  At p = 5 that is
     # 2 (8 * 31 + 2) + 4 * 31 = 624, at q = 4 2 (6 * 21 + 2) + 3 * 21 = 319.
     # splash at a = 1/a splashes pi(a) once; geometry builds
-    # each spread line it reads once, at every field: the two axis lines,
-    # the s lines of each PI component and the s hyperregulus lines of each
-    # J component, so 2 + 31 + 3 * 31 = 126 at p = 5 and 2 + 13 + 13 = 28
-    # at p = 3
+    # the spread element at each line key of each nonzero component once,
+    # at every field: the two axis lines and the s lines of each PI and of
+    # each J component, so 2 + 31 + 3 * 31 = 126 at p = 5 and 2 + 13 + 13
+    # = 28 at p = 3
     counted = []
     for module in (cf, ge):
         if hasattr(module, name):

@@ -85,11 +85,11 @@ def _curve_component_by_definition(ctx, kind, a):
     """The component's defining set, enumerated without the registry."""
     q, mul, frob = ctx.q, ctx.mul, ctx.frobenius
     if kind == "GAMMA":
-        fiber = [x for x in ctx.exp if ctx.norm(x) == a]
+        fiber = [x for x in ctx.exp if ref.norm(ctx, x) == a]
         return {(c, mul(c, ctx.pow(x, q + 1)), mul(c, frob(x, 1)))
                 for c in ctx.exp for x in fiber}
     if kind == "Z":
-        beta = next(x for x in ctx.exp if ctx.norm(x) == a)
+        beta = next(x for x in ctx.exp if ref.norm(ctx, x) == a)
         return {(mul(c, x), ctx.neg(mul(mul(c, beta), frob(x, 1))), 0)
                 for c in ctx.exp for x in ctx.exp}
     axis = {"A1": 0, "A2P": 1}

@@ -455,7 +455,7 @@ def test_segre_invariant_only_under_norm_one_tau(f27):
     sw = ge.orbit_points(f27, cd.kind_component(f27, "PI", 1), 13)
     for alpha in (f27.exp[13], f27.exp[2], f27.g):
         mapped = frozenset(ge.proj_normalize(f27, ge.tau(f27, alpha, w), 13) for w in sw)
-        if f27.norm(alpha) == 1:
+        if ref.norm(f27, alpha) == 1:
             assert mapped == sw
         else:
             assert not (mapped & sw)
@@ -505,43 +505,99 @@ def test_orbit_lines_equal_the_two_normalization_form(fixture, request):
             assert got == {r: frozenset(names) for r, names in want.items()}
 
 
+def j_report(ctx, j):
+    """The spread report of the axis components, PI(1) and the J component
+    j alone, which is `ok` for a whole j and runs at q = 2 too, where a
+    family's I must be empty."""
+    others = tuple(cd.kind_component(ctx, kind, 1) for kind in ("A1", "A2", "PI"))
+    return ge.verify_spread_decomposition(cd.RankCode(ctx, ctx.m, others + (j,)))
+
+
+def j_mutants(ctx):
+    """A whole J component and three broken ones: one F_q-class cut, one
+    point cut, and J(a)'s rows tagged with another parameter (q > 2)."""
+    a = ctx.fq_elems[-1]
+    whole = cd.kind_component(ctx, "J", a)
+    w = min(whole.words)
+    out = {"whole": whole,
+           "class_cut": cd.Component("J", a, whole.words - {lf.word_scale(ctx, c, w)
+                                                          for c in ctx.fq_elems[1:]},
+                                     whole.orbit_rep),
+           "point_cut": cd.Component("J", a, whole.words - {lf.word_scale(ctx, u, w)
+                                                          for u in ctx.exp},
+                                     whole.orbit_rep)}
+    if ctx.q > 2:
+        out["retagged"] = cd.Component("J", ctx.fq_elems[1], orbit_rep=whole.orbit_rep,
+                                       ctx=ctx, rows=whole.rows)
+    return out
+
+
 def test_hyperregulus_reports(f27):
     for a in (1, 2):
-        rep = ge.hyperregulus(f27, cd.kind_component(f27, "J", a))
-        assert rep.ok
-        assert len(rep.members) == 13
+        j = cd.kind_component(f27, "J", a)
+        assert j_report(f27, j).hyperreguli_ok == {j.tag(f27): True}
+        ref_rep = ref.hyperregulus(f27, j)
+        assert ref_rep.ok and len(ref_rep.members) == 13
     with pytest.raises(ValueError):
-        ge.hyperregulus(f27, cd.kind_component(f27, "J", 0))
+        j_report(f27, cd.kind_component(f27, "J", 0))
+    with pytest.raises(ValueError):
+        ref.hyperregulus(f27, cd.kind_component(f27, "J", 0))
 
 
 def test_hyperregulus_members_are_spread_elements(f27):
-    spread_sets = set(spread_partition(f27).values())
+    # the report's J lines and the reference's members are the same
+    # elements of the materialized partition
+    spread = spread_partition(f27)
     for a in (1, 2):
-        rep = ge.hyperregulus(f27, cd.kind_component(f27, "J", a))
-        for member in rep.members:
-            assert member in spread_sets
+        j = cd.kind_component(f27, "J", a)
+        lines = ge.orbit_lines(f27, j)
+        assert all(spread[key] == pts for key, pts in lines.items())
+        assert ref.hyperregulus(f27, j).members == tuple(lines.values())
 
 
 @pytest.mark.parametrize("fixture", ["f8", "f27", "f81"])
 def test_hyperregulus_cover_check_sees_a_missing_point(fixture, request):
-    # drop one J(a) word with its F_q-multiples (one word when q = 2): one point
+    # drop one J(a) word with its F_q-multiples (one word when q = 2): one
+    # point of PG(m^2-1, q), which flips the report's J verdict alone
     ctx = request.getfixturevalue(fixture)
-    full = cd.kind_component(ctx, "J", ctx.fq_elems[-1])
-    assert ge.hyperregulus(ctx, full).covers_component
-    w = min(full.words)
-    missing = full.words - {lf.word_scale(ctx, c, w) for c in ctx.fq_elems[1:]}
-    cut = cd.Component("J", full.a, missing, full.orbit_rep)
-    assert not ge.hyperregulus(ctx, cut).covers_component
+    mutants = j_mutants(ctx)
+    full, cut = mutants["whole"], mutants["class_cut"]
+    assert ref.hyperregulus(ctx, full).covers_component
+    assert not ref.hyperregulus(ctx, cut).covers_component
+    before, after = j_report(ctx, full).as_dict(), j_report(ctx, cut).as_dict()
+    assert {k for k in before if before[k] != after[k]} == {"hyperreguli_ok", "ok"}
+    assert after["hyperreguli_ok"] == {cut.tag(ctx): False}
 
 
 def test_hyperregulus_norm_surface_at_one(f27):
     # generators (1, 0, ..., 0, y) sweep N(y) = (-1)^m; here (-1)^3 = 2
-    rep = ge.hyperregulus(f27, cd.kind_component(f27, "J", 1))
+    j1 = cd.kind_component(f27, "J", 1)
+    rep = ref.hyperregulus(f27, j1)
     assert rep.norm_condition_ok
     target = f27.neg(1)
     for member in rep.members:
         gens = [w for w in member if w[0] == 1]
-        assert any(f27.norm(w[-1]) == target for w in gens)
+        assert any(ref.norm(f27, w[-1]) == target for w in gens)
+    # J(1)'s lines tagged J(2) miss the fiber of 2, which flips the J
+    # verdict alone
+    retagged = cd.Component("J", 2, orbit_rep=j1.orbit_rep, ctx=f27, rows=j1.rows)
+    assert not ref.hyperregulus(f27, retagged).norm_condition_ok
+    before, after = j_report(f27, j1).as_dict(), j_report(f27, retagged).as_dict()
+    assert {k for k in before if before[k] != after[k]} == {"hyperreguli_ok", "ok"}
+    assert after["hyperreguli_ok"] == {"J(2)": False}
+
+
+@pytest.mark.parametrize("fixture", ["f8", "f27", "f64", "f81"])
+def test_hyperreguli_verdict_equals_the_five_field_reference(fixture, request):
+    # the report's one key comparison against the reference's five checks
+    ctx = request.getfixturevalue(fixture)
+    verdicts = {}
+    for name, j in j_mutants(ctx).items():
+        rep = j_report(ctx, j)
+        verdicts[name] = rep.hyperreguli_ok[j.tag(ctx)]
+        assert verdicts[name] == ref.hyperregulus(ctx, j).ok == rep.ok
+    assert verdicts == {name: name == "whole" for name in verdicts}
+    assert len(verdicts) == (3 if ctx.q == 2 else 4)
 
 
 # ----------------------------------------------------------------------
@@ -572,9 +628,9 @@ def test_projective_decomposition_rejects_empty_or_bad_I(f27):
 def test_disjointness_negative_control(f27):
     a = frozenset({(1, 0, 0), (0, 1, 0)})
     b = frozenset({(1, 0, 0), (0, 0, 1)})
-    assert not ge.all_disjoint([a, b])
+    assert not cd.disjoint_union([a, b])[0]
     assert ge.pairwise_intersections([a, b])[0][1] == 1
-    assert ge.all_disjoint([a - b, b - a])
+    assert cd.disjoint_union([a - b, b - a])[0]
 
 
 @pytest.mark.parametrize("fixture", ["f27", "f64"])
@@ -632,6 +688,39 @@ def test_spread_decomposition_pi_and_j_checks_see_a_missing_class(f27, f64, kind
                   "segre_equivalent": rep.segre_equivalent,
                   "hyperreguli_ok": all(rep.hyperreguli_ok.values())}
         assert {name for name, value in checks.items() if not value} == broken and not rep.ok
+
+
+def failing_spread_checks(rep):
+    """The names of the checks behind the spread report's `ok` that fail."""
+    checks = {"axis_elements_ok": rep.axis_elements_ok, "segre_equivalent": rep.segre_equivalent,
+              "hyperreguli_ok": all(rep.hyperreguli_ok.values()),
+              "count": rep.spread_elements_used == rep.expected_spread_elements,
+              "elements_disjoint": rep.elements_disjoint, "ja_in_span": rep.ja_in_span,
+              "image_in_spread": rep.image_in_spread}
+    assert rep.ok is not any(value is False for value in checks.values())
+    return {name for name, value in checks.items() if not value}
+
+
+@pytest.mark.parametrize("mutation, broken", [("free_axis_key", "axis_elements_ok"),
+                                              ("no_A2", "count"),
+                                              ("J_twice", "elements_disjoint")])
+def test_spread_decomposition_checks_each_see_one_mutation(f27, f64, mutation, broken):
+    # A1's one line moved to a whole spread element on the first-last
+    # support that no component holds, A2 left out, one J listed twice
+    for ctx in (f27, f64):
+        fam = cd.build_family(ctx, [ctx.fq_elems[2]])
+        assert failing_spread_checks(ge.verify_spread_decomposition(fam)) == set()
+        if mutation == "free_axis_key":
+            taken = frozenset().union(*(pts for _, pts in ge.component_images(fam)))
+            axis = (1,) + (0,) * (ctx.m - 2)
+            new = next(axis + (y,) for y in ctx.exp if axis + (y,) not in taken)
+            fam = move_one_point(ctx, fam, "A1", new)
+        else:
+            j = next(c for c in fam.components if c.kind == "J")
+            comps = [c for c in fam.components if not (mutation == "no_A2" and c.kind == "A2")]
+            fam = cd.RankCode(ctx, fam.claimed_distance,
+                              tuple(comps) + ((j,) if mutation == "J_twice" else ()))
+        assert failing_spread_checks(ge.verify_spread_decomposition(fam)) == {broken}
 
 
 @pytest.mark.parametrize("fixture", ["f64", "f125", "f81"])
@@ -743,7 +832,7 @@ def test_pi_images_pairwise_disjoint_all_parameters(f27, f64):
     for ctx in (f27, f64):
         images = [ref.proj_image(ctx, cd.kind_component(ctx, "PI", a).words)
                   for a in ctx.fq_elems[1:]]
-        assert ge.all_disjoint(images)
+        assert cd.disjoint_union(images)[0]
 
 
 def test_j_images_on_line_all_parameters(f27, f64):

@@ -8,7 +8,9 @@ Reachability is read off the source alone (nothing is imported): a reached
 definition reaches every module-level name its body refers to, a name
 imported from a package module by `from .mod import name` resolves to that
 module's definition, and `mod.name` resolves through `from . import mod`.
-A reached class reaches everything its methods refer to.
+A reached class reaches everything its methods refer to, and each of its
+methods but the dunder ones must be named as an attribute (`.name`)
+somewhere in reached code.
 """
 
 import ast
@@ -108,8 +110,8 @@ def _plan_roots():
     return roots
 
 
-def unreached():
-    modules = _parse_package()
+def _reached(modules):
+    """The (module, name) keys of every definition a root reaches."""
     roots = [("cli", "main")] + [("__init__", name) for name in sorted(EXPORTS)] + _plan_roots()
     todo = [key for key in (_resolve(modules, *r) for r in roots) if key]
     assert len(todo) == len(roots), "a root names no definition in the package"
@@ -121,8 +123,27 @@ def unreached():
         seen.add(key)
         module, name = key
         todo += [k for k in _references(modules, module, modules[module][0][name]) if k]
+    return seen
+
+
+def unreached():
+    modules = _parse_package()
+    seen = _reached(modules)
     return sorted((module, name) for module, (defs, _, _) in modules.items()
                   for name in defs if not name.startswith("__") and (module, name) not in seen)
+
+
+def unnamed_methods():
+    """Class.method of every non-dunder method of a reached package class
+    that no reached code names as an attribute."""
+    modules = _parse_package()
+    seen = _reached(modules)
+    nodes = [modules[module][0][name] for module, name in seen]
+    named = {sub.attr for node in nodes for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+    return sorted(f"{node.name}.{item.name}" for node in nodes if isinstance(node, ast.ClassDef)
+                  for item in node.body
+                  if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not item.name.startswith("__") and item.name not in named)
 
 
 def test_plan_roots_are_read():
@@ -133,6 +154,11 @@ def test_plan_roots_are_read():
 def test_every_package_definition_is_reached():
     dead = [f"{module}.{name}" for module, name in unreached()]
     assert not dead, "reached by no command, export or benchmark entry: " + ", ".join(dead)
+
+
+def test_every_package_method_is_named():
+    unnamed = unnamed_methods()
+    assert not unnamed, "named by no reached code: " + ", ".join(unnamed)
 
 
 def test_exports_are_the_public_api():
