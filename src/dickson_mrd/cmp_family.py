@@ -25,9 +25,11 @@ carry checked orbit representatives.  `verify_component_maps` checks the
 map of every gamma and Z component.  `Orbits` holds the components,
 theta-images and splashes of one command, each computed once.
 
-`verify_curve_splash` recomputes by brute force the exterior splash of a
-gamma component on the line X3 = 0: it equals the norm fiber of -a^2, not
-the Z(a) image (the two agree only at a = 1).
+`verify_curve_splash` recomputes over all point pairs the exterior splash
+of a gamma component on the line X3 = 0, and of its theta-image on
+X2 = 0; `_SPLASH_LINE` names each line by its vanishing coordinate.  The
+gamma splash equals the norm fiber of -a^2, not the Z(a) image (the two
+agree only at a = 1).
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .codes import (
 from .geometry import (
     ProjPoint,
     exterior_splash,
-    line_through,
     orbit_points,
     proj_normalize,
 )
@@ -110,9 +111,9 @@ def theta_partner(ctx: FieldCtx, kind: str, a: Optional[int]) -> Tuple[str, Opti
     return _THETA_KIND[kind], (ctx.inv(a) if a is not None else None)
 
 
-# The line each model splashes on, by two of its points: X3 = 0 for gamma,
-# and its theta-image X2 = 0 for pi.
-_SPLASH_LINE = {"GAMMA": ((1, 0, 0), (0, 1, 0)), "PI": ((1, 0, 0), (0, 0, 1))}
+# The line each model splashes on, by the index of the coordinate that
+# vanishes on it: X3 = 0 for gamma, and its theta-image X2 = 0 for pi.
+_SPLASH_LINE = {"GAMMA": 2, "PI": 1}
 
 
 class Orbits(Memo):
@@ -121,9 +122,10 @@ class Orbits(Memo):
     and a lookup of another builds it from its model's registry (A1 and ZERO
     are one orbit in both).  `image` gives the theta-image of a curve
     component's points and `splashes` the exterior splash of a gamma or pi
-    component on its `_SPLASH_LINE`, each computed once and kept under the
-    component: a memo that looked components up in the store would make the
-    store a reference cycle, which outlives its command."""
+    component on the coordinate line `_SPLASH_LINE` names, each computed
+    once and kept under the component: a memo that looked components up in
+    the store would make the store a reference cycle, which outlives its
+    command."""
 
     def __init__(self, ctx: FieldCtx):
         _require_plane(ctx)
@@ -132,7 +134,7 @@ class Orbits(Memo):
         self.ctx = ctx
         self._images: Dict[Component, Optional[FrozenSet[ProjPoint]]] = {}
         self.splashes = Memo(lambda c: exterior_splash(
-            ctx, orbit_points(ctx, c), line_through(ctx, *_SPLASH_LINE[c.kind])))
+            ctx, orbit_points(ctx, c), _SPLASH_LINE[c.kind]))
 
     def image(self, c: Component) -> Optional[FrozenSet[ProjPoint]]:
         """The points of the theta-image of the curve component c, the

@@ -13,6 +13,10 @@ Two projective spaces appear:
   spread, keyed by the line's point of PG(m-1, q^m); the spread report
   reads every claim about the family's image off these lines and keys.
 
+The lines of PG(m-1, q^m) the claims name are coordinate lines, read off
+coordinates and never enumerated: the J images lie on the points with
+zero middle coordinates, and a plane exterior splash lies on x_k = 0.
+
 The two field reductions of an abstract vector v:
 
 * basis route: u-coordinates (in the basis 1, g, ..., g^(m-1)) -> the m x m
@@ -61,19 +65,6 @@ def orbit_points(ctx: FieldCtx, comp: Component, index: int = 1) -> FrozenSet[Wo
         return frozenset(_row_multiples(ctx, comp.rows, index))
     log = ctx.log
     return frozenset(w for w in comp.words if 0 <= log[next(filter(None, w), 0)] < index)
-
-
-def line_through(ctx: FieldCtx, p: Sequence[int], q: Sequence[int]) -> FrozenSet[ProjPoint]:
-    """All q^m + 1 points of the line spanned by two distinct points."""
-    p = proj_normalize(ctx, p)
-    q = proj_normalize(ctx, q)
-    if p == q:
-        raise ValueError("line needs two distinct points")
-    pts = {q}
-    for t in ctx.elements():
-        vec = tuple(ctx.add(a, ctx.mul(t, b)) for a, b in zip(p, q))
-        pts.add(proj_normalize(ctx, vec))
-    return frozenset(pts)
 
 
 def tau(ctx: FieldCtx, alpha: int, v: Sequence[int]) -> Tuple[int, ...]:
@@ -225,10 +216,10 @@ class ProjectiveDecompositionReport(Report):
     two points.  The report checks sizes, disjointness and that line: each
     axis image is one point and each PI or J image has s = (q^m-1)/(q-1)
     points (`sizes_ok`), the images are pairwise disjoint (`disjoint`), and
-    every J image lies on the line through (1, 0, ..., 0) and
-    (0, ..., 0, 1) (`j_on_line`).  Size s makes an orbit's image a
-    scattered linear set of rank m; that a PI image spans PG(m-1, q^m), and
-    so is a subgeometry, is not checked."""
+    every J point has zero middle coordinates, so lies on the line through
+    (1, 0, ..., 0) and (0, ..., 0, 1) (`j_on_line`).  Size s makes an
+    orbit's image a scattered linear set of rank m; that a PI image spans
+    PG(m-1, q^m), and so is a subgeometry, is not checked."""
 
     component_sizes: Dict[str, int]
     expected_size: int
@@ -260,7 +251,7 @@ def component_images(code: RankCode) -> List[Tuple[str, FrozenSet[ProjPoint]]]:
 
 def verify_projective_decomposition(code: RankCode) -> ProjectiveDecompositionReport:
     _pi_and_j(code)
-    ctx, m = code.ctx, code.m
+    ctx = code.ctx
     named = component_images(code)
     per = ctx.subfield_index
     sizes = {name: len(pts) for name, pts in named}
@@ -268,10 +259,9 @@ def verify_projective_decomposition(code: RankCode) -> ProjectiveDecompositionRe
         len(pts) == (1 if name.startswith("A") else per) for name, pts in named
     )
     meets = pairwise_intersections([pts for _, pts in named])
-    line = line_through(ctx, (1,) + (0,) * (m - 1), (0,) * (m - 1) + (1,))
-    j_on_line = all(
-        pts <= line for name, pts in named if name.startswith("J")
-    )
+    # the line joining (1, 0, ..., 0) and (0, ..., 0, 1) is the set of points
+    # with zero middle coordinates
+    j_on_line = all(not any(p[1:-1]) for name, pts in named if name.startswith("J") for p in pts)
     return ProjectiveDecompositionReport(
         component_sizes=sizes,
         expected_size=per,
@@ -420,53 +410,18 @@ def cyclic_summands_span(ctx: FieldCtx) -> bool:
 # exterior splash (projective plane case)
 # ----------------------------------------------------------------------
 
-def _cross(ctx: FieldCtx, u: Sequence[int], v: Sequence[int]) -> Tuple[int, int, int]:
-    mul, sub = ctx.mul, ctx.sub
-    return (
-        sub(mul(u[1], v[2]), mul(u[2], v[1])),
-        sub(mul(u[2], v[0]), mul(u[0], v[2])),
-        sub(mul(u[0], v[1]), mul(u[1], v[0])),
-    )
-
-
-def exterior_splash(
-    ctx: FieldCtx,
-    sub: Iterable[ProjPoint],
-    line: FrozenSet[ProjPoint],
-) -> FrozenSet[ProjPoint]:
-    """Points of `line` lying on a line spanned by two distinct points of
-    `sub`, by brute force over all point pairs.  Plane case (m = 3) only;
-    `line` must be disjoint from `sub`."""
+def exterior_splash(ctx: FieldCtx, sub: Iterable[ProjPoint], k: int) -> FrozenSet[ProjPoint]:
+    """Points of the coordinate line x_k = 0 (k counted from 0) lying on a
+    line spanned by two distinct points of `sub`, over all point pairs.
+    Plane case (m = 3) only; the line must be disjoint from `sub`."""
     if ctx.m != 3:
         raise ValueError("exterior splash is defined on the plane (m = 3)")
-    sub_pts = sorted(frozenset(proj_normalize(ctx, p) for p in sub))
-    if not sub_pts:
-        raise ValueError("empty point set")
-    line_list = sorted(line)
-    if len(line_list) < 2:
-        raise ValueError("line needs at least two points")
-    line_dual = _cross(ctx, line_list[0], line_list[1])
-    for p in line_list:
-        if _dot(ctx, line_dual, p):
-            raise ValueError("the given point set is not a line")
-    if frozenset(sub_pts) & line:
+    sub_pts = list({proj_normalize(ctx, p) for p in sub})
+    if any(p[k] == 0 for p in sub_pts):
         raise ValueError("line meets the point set")
-    out = set()
-    for i, p in enumerate(sub_pts):
-        for q in sub_pts[i + 1:]:
-            through = _cross(ctx, p, q)
-            hit = _cross(ctx, through, line_dual)
-            if not any(hit):
-                raise RuntimeError("degenerate intersection")
-            pt = proj_normalize(ctx, hit)
-            if pt not in line:
-                raise RuntimeError("intersection escaped the line")
-            out.add(pt)
-    return frozenset(out)
-
-
-def _dot(ctx: FieldCtx, u: Sequence[int], v: Sequence[int]) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        acc = ctx.add(acc, ctx.mul(a, b))
-    return acc
+    mul, minus = ctx.mul, ctx.sub
+    # q_k p - p_k q lies on the line pq and on x_k = 0; it is nonzero, since
+    # distinct normalized points are not proportional and p_k, q_k != 0
+    return frozenset(
+        proj_normalize(ctx, [minus(mul(q[k], x), mul(p[k], y)) for x, y in zip(p, q)])
+        for i, p in enumerate(sub_pts) for q in sub_pts[i + 1:])

@@ -20,7 +20,7 @@ Contexts are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 # Size bound for exact table-based arithmetic.
 MAX_FIELD_ORDER = 2 ** 24
@@ -318,12 +318,7 @@ class FieldCtx:
     def fq_elem(self, i: int) -> int:
         return self.fq_elems[i]
 
-    # -- enumeration and coordinates ------------------------------------------
-
-    def elements(self) -> Iterator[int]:
-        """All field elements: 0 first, then g^0, g^1, ..."""
-        yield 0
-        yield from self.exp
+    # -- coordinates ---------------------------------------------------------
 
     def coords(self, x: int) -> Tuple[int, ...]:
         """F_q-coordinates (as canonical subfield indices) of x in the basis

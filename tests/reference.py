@@ -6,17 +6,18 @@ modulus.  No discrete-log or Zech tables are involved, so agreement with
 the package arithmetic is a genuine cross-check.
 
 The second part holds routes the package does not run, kept as the tests'
-second route to what the package computes: the p-power Frobenius map,
-trace, norm and the inverse of `coords` on the field tables, the spread
-partition and the hyperregulus checks of a J component one by one, word
-arithmetic, Dickson matrices and their rank over F_{q^m}, root spaces,
-composition and the automorphism action, projective images and linear
-sets, the Segre variety of rank-one F_q matrices, the field-reduction
-congruence at one word, and the points of the CMP curve.  These use the
-package's field tables and scalar operations.  None reads points as
-exp-table windows of base rows, and only `rank` (a word's `column_rank`
-against the zero word, the tests' shorthand for that kernel) ranks through
-the pair kernel.
+second route to what the package computes: the element list, the p-power
+Frobenius map, trace, norm and the inverse of `coords` on the field
+tables, the spread partition and the hyperregulus checks of a J component
+one by one, word arithmetic, Dickson matrices and their rank over
+F_{q^m}, root spaces, composition and the automorphism action, projective
+images and linear sets, lines of PG(m-1, q^m) as point sets and the
+exterior splash on such a line by cross products, the Segre variety of
+rank-one F_q matrices, the field-reduction congruence at one word, and
+the points of the CMP curve.  These use the package's field tables and
+scalar operations.  None reads points as exp-table windows of base rows,
+and only `rank` (a word's `column_rank` against the zero word, the tests'
+shorthand for that kernel) ranks through the pair kernel.
 """
 
 import itertools
@@ -122,6 +123,11 @@ def ref_x_order(modulus, p):
 # ----------------------------------------------------------------------
 # field maps on the package's tables
 # ----------------------------------------------------------------------
+
+def elements(ctx):
+    """All field elements: 0 first, then g^0, g^1, ..."""
+    return [0, *ctx.exp]
+
 
 def p_power(ctx, x, k):
     """x raised to the p^k-th power (k reduced mod h*m)."""
@@ -360,7 +366,7 @@ def apply_aut(ctx, e, w):
 
 
 # ----------------------------------------------------------------------
-# points, linear sets, the Segre variety and the field reduction
+# points, lines, linear sets, the Segre variety and the field reduction
 # ----------------------------------------------------------------------
 
 def proj_image(ctx, vectors):
@@ -378,6 +384,62 @@ def proj_points_iter(ctx):
         head = (0,) * lead + (1,)
         for tail in itertools.product(els, repeat=m - 1 - lead):
             yield head + tail
+
+
+def line_through(ctx, p, q):
+    """All q^m + 1 points of the line spanned by two distinct points."""
+    p = proj_normalize(ctx, p)
+    q = proj_normalize(ctx, q)
+    if p == q:
+        raise ValueError("line needs two distinct points")
+    pts = {q}
+    for t in elements(ctx):
+        vec = tuple(ctx.add(a, ctx.mul(t, b)) for a, b in zip(p, q))
+        pts.add(proj_normalize(ctx, vec))
+    return frozenset(pts)
+
+
+def _cross(ctx, u, v):
+    mul, sub = ctx.mul, ctx.sub
+    return (
+        sub(mul(u[1], v[2]), mul(u[2], v[1])),
+        sub(mul(u[2], v[0]), mul(u[0], v[2])),
+        sub(mul(u[0], v[1]), mul(u[1], v[0])),
+    )
+
+
+def _dot(ctx, u, v):
+    acc = 0
+    for a, b in zip(u, v):
+        acc = ctx.add(acc, ctx.mul(a, b))
+    return acc
+
+
+def exterior_splash(ctx, sub, line):
+    """Points of the plane line `line`, a point set, lying on a line spanned
+    by two distinct points of `sub`: each pair's line, as the cross product
+    of the two points, meets `line`, as the cross product of two of its
+    points, in their cross product.  `line` is checked to be a line and
+    disjoint from `sub`."""
+    _require_plane(ctx)
+    sub_pts = sorted(frozenset(proj_normalize(ctx, p) for p in sub))
+    line_list = sorted(line)
+    line_dual = _cross(ctx, line_list[0], line_list[1])
+    if any(_dot(ctx, line_dual, p) for p in line_list):
+        raise ValueError("the given point set is not a line")
+    if frozenset(sub_pts) & line:
+        raise ValueError("line meets the point set")
+    out = set()
+    for i, p in enumerate(sub_pts):
+        for q in sub_pts[i + 1:]:
+            hit = _cross(ctx, _cross(ctx, p, q), line_dual)
+            if not any(hit):
+                raise RuntimeError("degenerate intersection")
+            pt = proj_normalize(ctx, hit)
+            if pt not in line:
+                raise RuntimeError("intersection escaped the line")
+            out.add(pt)
+    return frozenset(out)
 
 
 def span_fq(ctx, basis):

@@ -48,7 +48,7 @@ def test_z_component(f27):
     assert len(z2) == 338
     assert all(w[2] == 0 for w in z2)
     img = ref.proj_image(f27, z2)
-    u_line = ge.line_through(f27, (1, 0, 0), (0, 1, 0))
+    u_line = ref.line_through(f27, (1, 0, 0), (0, 1, 0))
     assert img <= u_line
 
 
@@ -359,14 +359,26 @@ def test_curve_splash_differs_from_z_at_two(f27):
 
 
 def test_curve_splash_sets_are_disjoint_at_two(f27):
-    u_line = ge.line_through(f27, (1, 0, 0), (0, 1, 0))
-    splash = ge.exterior_splash(
-        f27, ref.proj_image(f27, curve_words(f27, "GAMMA", 2)), u_line
-    )
+    splash = ge.exterior_splash(f27, ref.proj_image(f27, curve_words(f27, "GAMMA", 2)), 2)
     z_img = ref.proj_image(f27, curve_words(f27, "Z", 2))
     assert splash == cf.norm_fiber_points_on_u(f27, 2)
     assert z_img == cf.norm_fiber_points_on_u(f27, 1)
     assert not (splash & z_img)
+
+
+@pytest.mark.parametrize("fixture", ["f27", "f64", "f125"])
+def test_coordinate_splash_equals_the_cross_product_route(fixture, request):
+    # every PI(a) on X2 = 0 and every GAMMA(a) on X3 = 0, against the
+    # splash on the enumerated line
+    ctx = request.getfixturevalue(fixture)
+    orbits = cf.Orbits(ctx)
+    lines = {"PI": ((1, 0, 0), (0, 0, 1)), "GAMMA": ((1, 0, 0), (0, 1, 0))}
+    for kind, (p, q) in lines.items():
+        line = ref.line_through(ctx, p, q)
+        for a in ctx.fq_elems[1:]:
+            comp = orbits[kind, a]
+            points = ge.orbit_points(ctx, comp)
+            assert orbits.splashes[comp] == ref.exterior_splash(ctx, points, line)
 
 
 def test_curve_splash_at_one_is_reported_not_assumed(f27):

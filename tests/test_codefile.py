@@ -103,3 +103,12 @@ def test_file_coefficient_outside_0_to_p_minus_1_exits_two(tmp_path, capsys, f27
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert repr(key) in lines[0]
+
+
+def test_file_listing_one_orbit_twice_exits_two(tmp_path, capsys, f27):
+    doc = codefile.code_to_dict(cd.build_family(f27, [2]))
+    doc["components"].append(doc["components"][1])
+    bad = tmp_path / "twice.json"
+    codefile.write_json(bad, doc)
+    code, out, err = run(capsys, "verify", str(bad))
+    assert (code, out, err) == (2, "", "error: file components overlap\n")

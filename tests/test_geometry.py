@@ -85,7 +85,7 @@ def test_proj_image_sizes(f27):
     assert len(ref.proj_image(f27, cd.kind_component(f27, "A1").words)) == 1
     j1 = ref.proj_image(f27, cd.kind_component(f27, "J", 1).words)
     assert len(j1) == 13
-    w_line = ge.line_through(f27, (1, 0, 0), (0, 0, 1))
+    w_line = ref.line_through(f27, (1, 0, 0), (0, 0, 1))
     assert len(w_line) == 28
     assert j1 <= w_line
 
@@ -764,12 +764,11 @@ def test_cyclic_summands_span(f27, f64):
 # ----------------------------------------------------------------------
 
 def test_splash_of_pi_components_on_w_line(f27):
-    w_line = ge.line_through(f27, (1, 0, 0), (0, 0, 1))
     j1 = ref.proj_image(f27, cd.kind_component(f27, "J", 1).words)
     for a in (1, 2):
         # a^(m-1) = a^2 = 1 in F_3 for both a
         img = ref.proj_image(f27, cd.kind_component(f27, "PI", a).words)
-        splash = ge.exterior_splash(f27, img, w_line)
+        splash = ge.exterior_splash(f27, img, 1)
         assert len(splash) == 13
         assert splash == j1
 
@@ -778,31 +777,22 @@ def test_splash_of_pi_components_on_w_line(f27):
 def test_splash_parameter_map(fixture, request):
     # splash of the pi(a) image on the first-last line is the J(a^(m-1)) image
     ctx = request.getfixturevalue(fixture)
-    w_line = ge.line_through(ctx, (1, 0, 0), (0, 0, 1))
     for a in ctx.fq_elems[1:]:
         img = ref.proj_image(ctx, cd.kind_component(ctx, "PI", a).words)
-        splash = ge.exterior_splash(ctx, img, w_line)
+        splash = ge.exterior_splash(ctx, img, 1)
         b = ctx.pow(a, ctx.m - 1)
         assert splash == ref.proj_image(ctx, cd.kind_component(ctx, "J", b).words)
 
 
 def test_splash_rejects_non_plane(f81):
-    w_line = frozenset({(1, 0, 0, 0), (0, 0, 0, 1)})
     with pytest.raises(ValueError, match="m = 3"):
-        ge.exterior_splash(f81, [(1, 1, 1, 1)], w_line)
+        ge.exterior_splash(f81, [(1, 1, 1, 1)], 1)
 
 
 def test_splash_rejects_meeting_line(f27):
-    w_line = ge.line_through(f27, (1, 0, 0), (0, 0, 1))
     sub = ref.proj_image(f27, cd.kind_component(f27, "PI", 1).words) | {(1, 0, 0)}
     with pytest.raises(ValueError, match="meets"):
-        ge.exterior_splash(f27, sub, w_line)
-
-
-def test_splash_rejects_non_line(f27):
-    bad = frozenset({(1, 0, 0), (0, 0, 1), (1, 1, 1)})
-    with pytest.raises(ValueError, match="not a line"):
-        ge.exterior_splash(f27, ref.proj_image(f27, cd.kind_component(f27, "PI", 1).words), bad)
+        ge.exterior_splash(f27, sub, 1)
 
 
 def test_dickson_side_subchecks_q4(f64):
@@ -838,11 +828,28 @@ def test_pi_images_pairwise_disjoint_all_parameters(f27, f64):
 def test_j_images_on_line_all_parameters(f27, f64):
     for ctx in (f27, f64):
         m = ctx.m
-        line = ge.line_through(ctx, (1,) + (0,) * (m - 1), (0,) * (m - 1) + (1,))
+        line = ref.line_through(ctx, (1,) + (0,) * (m - 1), (0,) * (m - 1) + (1,))
         for b in ctx.fq_elems[1:]:
             img = ref.proj_image(ctx, cd.kind_component(ctx, "J", b).words)
             assert img <= line
             assert len(img) == (ctx.order - 1) // (ctx.q - 1)
+
+
+@pytest.mark.parametrize("fixture", ["f27", "f64", "f81"])
+def test_j_on_line_is_containment_in_the_first_last_line(fixture, request):
+    # the family as built, a J point moved to a point of the line that no
+    # component holds, and one moved off the line
+    ctx = request.getfixturevalue(fixture)
+    m = ctx.m
+    line = ref.line_through(ctx, (1,) + (0,) * (m - 1), (0,) * (m - 1) + (1,))
+    fam = cd.build_family(ctx, [ctx.fq_elems[2]])
+    taken = frozenset().union(*(pts for _, pts in ge.component_images(fam)))
+    on_line = min(line - taken)
+    for code, expected in ((fam, True), (move_one_point(ctx, fam, "J", on_line), True),
+                           (move_one_point(ctx, fam, "J", free_point(ctx, fam)), False)):
+        js = [c for c in code.components if c.kind == "J"]
+        contained = all(ge.orbit_points(ctx, c) <= line for c in js)
+        assert ge.verify_projective_decomposition(code).j_on_line == contained == expected
 
 
 def test_reduction_check_counts_both_failures_on_every_vector(f27, monkeypatch):
