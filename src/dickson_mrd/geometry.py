@@ -9,9 +9,10 @@ Two projective spaces appear:
   of q-circulant (Dickson) generator words, so its points are F_q-classes of
   nonzero words.  F_q* = <g^s>, s = (q^m-1)/(q-1), so a class is named by its
   member with leading coordinate g^j, 0 <= j < s (`proj_normalize(ctx, v, s)`).
-  The classes of a word's F_{q^m}-line are an element of the Desarguesian
-  spread, keyed by the line's point of PG(m-1, q^m); the spread report
-  reads every claim about the family's image off these lines and keys.
+  The s classes g^0 r, ..., g^(s-1) r of the F_{q^m}-line through a
+  normalized point r of PG(m-1, q^m) are the element of the Desarguesian
+  spread keyed by r; the spread report reads every claim about the
+  family's image off each component's keys and its count of classes.
 
 The lines of PG(m-1, q^m) the claims name are coordinate lines, read off
 coordinates and never enumerated: the J images lie on the points with
@@ -22,12 +23,12 @@ The two field reductions of an abstract vector v:
 * basis route: u-coordinates (in the basis 1, g, ..., g^(m-1)) -> the m x m
   matrix over F_q whose k-th column holds the coordinates of the k-th entry
   (`field_reduce`);
-* cyclic route: Singer coordinates -> the Dickson matrix (`cyclic_reduce`).
+* cyclic route: Singer coordinates -> the Dickson matrix (`dickson`).
 
 They are linked by the Moore matrix C with C[r][i] = (g^i)^(q^r): Singer
 coordinates = C * u-coordinates, and the congruence
 
-    cyclic_reduce(w) == C * field_reduce(C^-1 w) * C^T
+    dickson(w) == C * field_reduce(C^-1 w) * C^T
 
 holds for every w, which is why both routes give the same rank everywhere.
 Both sides are F_q-linear in w, so `verify_reduction_equivalence` proves it
@@ -39,9 +40,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Sized, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Sized, Tuple
 
-from .codes import Component, RankCode, Report, _row_multiples, disjoint_union, kind_component
+from .codes import (Component, RankCode, Report, _row_multiples, disjoint_union, kind_component,
+                    pi_generator)
 from .gfield import FieldCtx
 from .linalg import fq_rank, mat_inv, mat_mul, mat_rank, mat_transpose, mat_vec
 from .linforms import Word, dickson, proj_normalize
@@ -65,18 +67,6 @@ def orbit_points(ctx: FieldCtx, comp: Component, index: int = 1) -> FrozenSet[Wo
         return frozenset(_row_multiples(ctx, comp.rows, index))
     log = ctx.log
     return frozenset(w for w in comp.words if 0 <= log[next(filter(None, w), 0)] < index)
-
-
-def tau(ctx: FieldCtx, alpha: int, v: Sequence[int]) -> Tuple[int, ...]:
-    """Coordinate rescaling (a_0, alpha a_1, alpha^(1+q) a_2, ...); maps the
-    norm-1 component onto the norm-N(alpha) one."""
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    q = ctx.q
-    return tuple(
-        ctx.mul(ctx.pow(alpha, (q ** k - 1) // (q - 1)), x)
-        for k, x in enumerate(v)
-    )
 
 
 # ----------------------------------------------------------------------
@@ -103,15 +93,10 @@ def field_reduce(ctx: FieldCtx, v: Sequence[int]) -> TensorMat:
     return tuple(tuple(cols[k][r] for k in range(m)) for r in range(m))
 
 
-def cyclic_reduce(ctx: FieldCtx, v: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
-    """The Dickson matrix generated by the Singer-coordinate tuple."""
-    return dickson(ctx, tuple(v))
-
-
 def _both_reductions(ctx: FieldCtx, cinv: TensorMat,
                      w: Sequence[int]) -> Tuple[TensorMat, TensorMat]:
-    """(cyclic_reduce(w), field_reduce(C^-1 w)): both routes, once each."""
-    return cyclic_reduce(ctx, w), field_reduce(ctx, mat_vec(ctx, cinv, w))
+    """(dickson(w), field_reduce(C^-1 w)): both routes, once each."""
+    return dickson(ctx, w), field_reduce(ctx, mat_vec(ctx, cinv, w))
 
 
 def _congruent(ctx: FieldCtx, c: TensorMat, d: TensorMat, x: TensorMat) -> bool:
@@ -171,30 +156,24 @@ def word_fq_coords(ctx: FieldCtx, w: Word) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def spread_element_points(ctx: FieldCtx, rep: Sequence[int]) -> FrozenSet[Word]:
-    """F_q-classes of the F_{q^m}-line through rep: one spread element, the
-    normal forms g^0 r, ..., g^(s-1) r of r = proj_normalize(ctx, rep), read
-    as exp-table windows."""
-    return frozenset(_row_multiples(ctx, [proj_normalize(ctx, rep)], ctx.subfield_index))
-
-
 def spread_point_count(ctx: FieldCtx) -> int:
     """Number of points of PG(m^2-1, q)."""
     return (ctx.q ** (ctx.m * ctx.m) - 1) // (ctx.q - 1)
 
 
-def orbit_lines(ctx: FieldCtx, comp: Component) -> Dict[ProjPoint, FrozenSet[Word]]:
-    """The F_q-classes of a single orbit (`orbit_points` at index s) grouped
-    by the F_{q^m}-line they span, keyed by the line's normalized point, in
-    ascending key order.  A built component's base rows are those points,
-    and the classes on the line of row r are g^0 r, ..., g^(s-1) r."""
+def orbit_lines(ctx: FieldCtx, comp: Component) -> Tuple[List[ProjPoint], int]:
+    """(keys, classes) of a single orbit: the ascending normalized points of
+    the F_{q^m}-lines its F_q-classes (`orbit_points` at index s) span, and
+    the number of those classes.  A built component's keys are its base
+    rows, each line holding its s classes g^0 r, ..., g^(s-1) r; a given
+    word set has its classes counted and their points read off.  The
+    classes on the line of r are among those s, so each line is a whole
+    spread element exactly when classes == s * len(keys)."""
     s = ctx.subfield_index
     if comp.rows is not None:
-        return {r: frozenset(_row_multiples(ctx, [r], s)) for r in sorted(comp.rows)}
-    groups: Dict[ProjPoint, Set[Word]] = {}
-    for cls in orbit_points(ctx, comp, s):
-        groups.setdefault(proj_normalize(ctx, cls), set()).add(cls)
-    return {r: frozenset(pts) for r, pts in sorted(groups.items())}
+        return sorted(comp.rows), len(comp.rows) * s
+    classes = orbit_points(ctx, comp, s)
+    return sorted({proj_normalize(ctx, cls) for cls in classes}), len(classes)
 
 
 # ----------------------------------------------------------------------
@@ -306,44 +285,44 @@ class SpreadDecompositionReport(Report):
 
 def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
     """Compare the family's F_q-classes with the Desarguesian spread of
-    PG(m^2-1, q) in one pass over the lines of each nonzero component: a
-    component is whole when each of its lines is the spread element at its
-    key, built once by `spread_element_points`, and every check reads the
-    lines and their keys.
+    PG(m^2-1, q) from each nonzero component's line keys and class count
+    (`orbit_lines`): a component is whole when it has s classes per key,
+    and every check reads the keys and the counts alone.
 
     These are the spread's elements with no partition built: every
     F_q-class has one normal form `proj_normalize(w, s)`; it lies on one
     F_{q^m}-line, its F_{q^m}*-closure, named by `proj_normalize(w)`; and
     the line through r = proj_normalize(rep) holds the s classes g^0 r, ...,
     g^(s-1) r, which are distinct, since F_q* = <g^s>.  So the elements
-    keyed by the points of PG(m-1, q^m) partition PG(m^2-1, q)."""
+    keyed by the points of PG(m-1, q^m) partition PG(m^2-1, q), whole
+    components hold each element they meet, and they are disjoint exactly
+    when no key is listed twice."""
     pis, js = _pi_and_j(code)
     ctx = code.ctx
     per = ctx.subfield_index
     comps = [c for c in code.components if c.kind in ("A1", "A2", "PI", "J")]
     lines = {c: orbit_lines(ctx, c) for c in comps}
-    whole = {c: all(spread_element_points(ctx, key) == pts for key, pts in groups.items())
-             for c, groups in lines.items()}
+    whole = {c: classes == per * len(keys) for c, (keys, classes) in lines.items()}
 
     # the two axis components are single spread elements
-    axis_ok = all(whole[c] and list(lines[c]) == [proj_normalize(ctx, c.orbit_rep)]
+    axis_ok = all(whole[c] and lines[c][0] == [proj_normalize(ctx, c.orbit_rep)]
                   for c in lines if c.kind in ("A1", "A2"))
 
-    # pi components are Segre varieties: tau-images of the standard one,
-    # pi(1).  tau is diagonal, so F_{q^m}-linear, and carries each of the s
-    # lines of pi(1) onto a line; an image of s^2 classes on the s mapped
-    # lines, which are disjoint and hold s^2 classes, is their union
+    # pi components are Segre varieties: images of the standard one, pi(1),
+    # under the coordinate scaling by pi(a)'s generator (1, alpha,
+    # alpha^(1+q), ...).  The scaling is diagonal, so F_{q^m}-linear, and
+    # carries each of the s lines of pi(1) onto a line; an image of s^2
+    # classes on the s mapped lines, which are disjoint and hold s^2
+    # classes, is their union
     base_rows = kind_component(ctx, "PI", 1).rows
     segre_counts = {}
     segre_equiv = True
     for c in pis:
-        # the lines partition the image, so their sizes add up to its size
-        n = sum(map(len, lines[c].values()))
+        keys, n = lines[c]
         segre_counts[c.tag(ctx)] = n
-        # tau's factors, once per component: tau scales coordinate k alone
-        f = tau(ctx, ctx.norm_fiber(c.a)[0], (1,) * ctx.m)
+        f = pi_generator(ctx, c.a)
         mapped = {proj_normalize(ctx, tuple(map(ctx.mul, f, r))) for r in base_rows}
-        segre_equiv &= mapped == set(lines[c]) and n == per * per
+        segre_equiv &= mapped == set(keys) and n == per * per
 
     # a J(a) component is a hyperregulus when it is whole and its keys are
     # exactly the generators (1, 0, ..., 0, y) over the norm fiber
@@ -353,14 +332,14 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
     hyper = {}
     for c in js:
         fiber = ctx.norm_fiber(ctx.neg(c.a) if ctx.m % 2 else c.a)
-        hyper[c.tag(ctx)] = whole[c] and set(lines[c]) == {axis + (y,) for y in fiber}
+        hyper[c.tag(ctx)] = whole[c] and set(lines[c][0]) == {axis + (y,) for y in fiber}
 
     # the J and axis images lie in the span of the two axis spread
     # elements: on points (so words) supported on the first and last coordinate
     ja = [c for c in code.components if c.kind in ("J", "A1", "A2")]
     ja_in_span = all(not any(p[1:-1]) for c in ja for p in orbit_points(ctx, c))
 
-    used = [pts for c in comps for pts in lines[c].values()]
+    used = [key for c in comps for key in lines[c][0]]
     return SpreadDecompositionReport(
         axis_elements_ok=axis_ok,
         segre_counts=segre_counts,
@@ -368,7 +347,7 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
         hyperreguli_ok=hyper,
         spread_elements_used=len(used),
         expected_spread_elements=2 + len(pis) * per + len(js) * per,
-        elements_disjoint=disjoint_union(used)[0],
+        elements_disjoint=disjoint_union([used])[0],
         ja_in_span=ja_in_span,
         image_in_spread=all(whole[c] for c in pis),
         segre_size=per * per,

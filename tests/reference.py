@@ -8,13 +8,14 @@ the package arithmetic is a genuine cross-check.
 The second part holds routes the package does not run, kept as the tests'
 second route to what the package computes: the element list, the p-power
 Frobenius map, trace, norm and the inverse of `coords` on the field
-tables, the spread partition and the hyperregulus checks of a J component
-one by one, word arithmetic, Dickson matrices and their rank over
-F_{q^m}, root spaces, composition and the automorphism action, projective
-images and linear sets, lines of PG(m-1, q^m) as point sets and the
-exterior splash on such a line by cross products, the Segre variety of
-rank-one F_q matrices, the field-reduction congruence at one word, and
-the points of the CMP curve.  These use the package's field tables and
+tables, the coordinate rescaling tau that carries pi(1) onto pi(a), the
+spread partition and the hyperregulus checks of a J component one by one,
+word arithmetic, Dickson matrices and their rank over F_{q^m}, root
+spaces, composition and the automorphism action, projective images and
+linear sets, lines of PG(m-1, q^m) as point sets and the exterior splash
+on such a line by cross products, the Segre variety of rank-one F_q
+matrices, the field-reduction congruence at one word, and the points of
+the CMP curve.  These use the package's field tables and
 scalar operations.  None reads points as exp-table windows of base rows,
 and only `rank` (a word's `column_rank` against the zero word, the tests'
 shorthand for that kernel) ranks through the pair kernel.
@@ -157,6 +158,18 @@ def from_fq_coords(ctx, cs):
     for j, c in enumerate(cs):
         acc = ctx.add(acc, ctx.mul(ctx.fq_elems[c], ctx.pow(ctx.g, j)))
     return acc
+
+
+def tau(ctx, alpha, v):
+    """Coordinate rescaling (a_0, alpha a_1, alpha^(1+q) a_2, ...); maps the
+    norm-1 component onto the norm-N(alpha) one."""
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero")
+    q = ctx.q
+    return tuple(
+        ctx.mul(ctx.pow(alpha, (q ** k - 1) // (q - 1)), x)
+        for k, x in enumerate(v)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +516,7 @@ def segre_points(ctx):
 
 
 def check_reduction_congruence(ctx, w):
-    """cyclic_reduce(w) == C * field_reduce(C^-1 w) * C^T, entrywise."""
+    """dickson(w) == C * field_reduce(C^-1 w) * C^T, entrywise."""
     c, cinv = singer_change_of_basis(ctx)
     return _congruent(ctx, c, *_both_reductions(ctx, cinv, w))
 

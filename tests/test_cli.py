@@ -236,16 +236,16 @@ def test_geometry_command_skips_large_spread(capsys):
 
 def test_geometry_exit_code_reads_the_whole_spread_report_beyond_the_printed_bound(
         capsys, monkeypatch):
-    # a tau whose last factor is off by g maps the standard Segre variety
-    # off the pi image: that fails only segre_equivalent, which the printed
-    # Dickson-side projection does not carry
-    tau = ge.tau
+    # a pi generator whose last coordinate is off by g maps the standard
+    # Segre variety off the pi image: that fails only segre_equivalent,
+    # which the printed Dickson-side projection does not carry
+    generator = ge.pi_generator
 
-    def off_tau(ctx, alpha, v):
-        *head, last = tau(ctx, alpha, v)
+    def off_generator(ctx, a):
+        *head, last = generator(ctx, a)
         return (*head, ctx.mul(ctx.g, last))
 
-    monkeypatch.setattr(ge, "tau", off_tau)
+    monkeypatch.setattr(ge, "pi_generator", off_generator)
     code, text, _ = run(capsys, "geometry", "--p", "2", "--h", "2", "--m", "3",
                         "--set", "g21", "--sample", "10")
     rep = json.loads(text)
@@ -556,10 +556,6 @@ def test_cmp_and_splash_build_each_component_once(capsys, monkeypatch, argv, bui
     (["cmp", "--p", "5", "--set", "2,3"], "theta", 624),
     (["cmp", "--p", "2", "--h", "2", "--set", "g21"], "theta", 319),
     (["splash", "--p", "5", "--a", "4"], "exterior_splash", 2),
-    (["geometry", "--p", "5", "--m", "3", "--set", "2", "--sample", "10"],
-     "spread_element_points", 126),
-    (["geometry", "--p", "3", "--m", "3", "--set", "2", "--sample", "10"],
-     "spread_element_points", 28),
 ])
 def test_each_theta_image_splash_and_spread_line_is_derived_once(capsys, monkeypatch,
                                                                  argv, name, calls):
@@ -568,11 +564,7 @@ def test_each_theta_image_splash_and_spread_line_is_derived_once(capsys, monkeyp
     # and Z component at every nonzero a, one for each axis; theta also
     # carries 31 (resp. 21) splash points per a.  At p = 5 that is
     # 2 (8 * 31 + 2) + 4 * 31 = 624, at q = 4 2 (6 * 21 + 2) + 3 * 21 = 319.
-    # splash at a = 1/a splashes pi(a) once; geometry builds
-    # the spread element at each line key of each nonzero component once,
-    # at every field: the two axis lines and the s lines of each PI and of
-    # each J component, so 2 + 31 + 3 * 31 = 126 at p = 5 and 2 + 13 + 13
-    # = 28 at p = 3
+    # splash at a = 1/a splashes pi(a) once
     counted = []
     for module in (cf, ge):
         if hasattr(module, name):
@@ -598,6 +590,26 @@ def test_cmp_and_splash_build_no_word_set(capsys, monkeypatch, argv):
     nonzero = [c for c in stores[0].values() if c.kind != "ZERO"]
     assert nonzero and all(c.rows is not None for c in nonzero)
     assert not any("words" in vars(c) for c in nonzero)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "5", "--m", "3", "--set", "2"],
+    ["--p", "3", "--m", "4", "--set", "2"],
+])
+def test_geometry_streams_no_fq_class_window(capsys, monkeypatch, argv):
+    # every report reads one multiple of each base row, its point of
+    # PG(m-1, q^m); the spread report counts each component's F_q-classes
+    # from its rows, so no row's s multiples are streamed
+    counts = []
+    stream = ge._row_multiples
+
+    def recorded(ctx, rows, count=None):
+        counts.append(count)
+        return stream(ctx, rows, count)
+
+    monkeypatch.setattr(ge, "_row_multiples", recorded)
+    code, _, _ = run(capsys, "geometry", *argv, "--sample", "10")
+    assert code == 0 and counts and set(counts) == {1}
 
 
 @pytest.mark.parametrize("argv", [

@@ -150,9 +150,9 @@ def test_scattered_rejects_dependent_basis(f27):
 
 def test_tau_identity(f27):
     v = (1, f27.g, 2)
-    assert ge.tau(f27, 1, v) == v
+    assert ref.tau(f27, 1, v) == v
     with pytest.raises(ValueError):
-        ge.tau(f27, 0, v)
+        ref.tau(f27, 0, v)
 
 
 @pytest.mark.parametrize("fixture", ["f27", "f64"])
@@ -162,9 +162,9 @@ def test_tau_maps_components(fixture, request):
     j1 = cd.kind_component(ctx, "J", 1).words
     for a in ctx.fq_elems[1:]:
         alpha = ctx.norm_fiber(a)[0]
-        assert {ge.tau(ctx, alpha, w) for w in pi1} == set(cd.kind_component(ctx, "PI", a).words)
+        assert {ref.tau(ctx, alpha, w) for w in pi1} == set(cd.kind_component(ctx, "PI", a).words)
         b = ctx.pow(a, ctx.m - 1)
-        assert {ge.tau(ctx, alpha, w) for w in j1} == set(cd.kind_component(ctx, "J", b).words)
+        assert {ref.tau(ctx, alpha, w) for w in j1} == set(cd.kind_component(ctx, "J", b).words)
 
 
 # ----------------------------------------------------------------------
@@ -220,10 +220,10 @@ def test_field_reduce_rank_equals_vector_rank(f27):
 
 
 def test_cyclic_reduce_zero_and_rank_one(f27):
-    assert ge.cyclic_reduce(f27, (0, 0, 0)) == ((0, 0, 0),) * 3
+    assert lf.dickson(f27, (0, 0, 0)) == ((0, 0, 0),) * 3
     for a in f27.exp:
         w = cyclic_vector(f27, a)
-        assert mat_rank(f27, ge.cyclic_reduce(f27, w)) == 1
+        assert mat_rank(f27, lf.dickson(f27, w)) == 1
 
 
 def test_change_of_basis_diagonalizes_multiplication(f27):
@@ -294,7 +294,7 @@ def test_reduction_report_reads_only_the_sample_length(fixture, request):
 @pytest.mark.parametrize("fixture", ["f27", "f64", "f125", "f81"])
 def test_both_reduction_routes_are_fq_linear(fixture, request):
     # the premise of the basis proof: additivity and F_q-scaling of
-    # cyclic_reduce and of field_reduce after C^-1, on random pairs
+    # the Dickson matrix and of field_reduce after C^-1, on random pairs
     ctx = request.getfixturevalue(fixture)
     _, cinv = ge.singer_change_of_basis(ctx)
     rng = random.Random(5)
@@ -303,10 +303,10 @@ def test_both_reduction_routes_are_fq_linear(fixture, request):
         c = rng.randrange(ctx.q)
         w_sum = tuple(ctx.add(a, b) for a, b in zip(w1, w2))
         w_scaled = lf.word_scale(ctx, ctx.fq_elem(c), w1)
-        d1, d2 = ge.cyclic_reduce(ctx, w1), ge.cyclic_reduce(ctx, w2)
-        assert ge.cyclic_reduce(ctx, w_sum) == tuple(
+        d1, d2 = lf.dickson(ctx, w1), lf.dickson(ctx, w2)
+        assert lf.dickson(ctx, w_sum) == tuple(
             tuple(map(ctx.add, r1, r2)) for r1, r2 in zip(d1, d2))
-        assert ge.cyclic_reduce(ctx, w_scaled) == tuple(
+        assert lf.dickson(ctx, w_scaled) == tuple(
             tuple(ctx.mul(ctx.fq_elem(c), e) for e in r) for r in d1)
         x1, x2 = (ge.field_reduce(ctx, mat_vec(ctx, cinv, w)) for w in (w1, w2))
         assert ge.field_reduce(ctx, mat_vec(ctx, cinv, w_sum)) == tuple(
@@ -336,7 +336,7 @@ def test_derived_reduction_report_equals_the_sample_loop(fixture, request):
 
 
 def _transposed_dickson(ctx, v):
-    return mat_transpose(lf.dickson(ctx, tuple(v)))
+    return mat_transpose(lf.dickson(ctx, v))
 
 
 def _one_wrong_cinv_entry(ctx):
@@ -350,7 +350,7 @@ def _scaled_field_reduce(ctx, v):
 
 _SINGER_CHANGE_OF_BASIS, _FIELD_REDUCE = ge.singer_change_of_basis, ge.field_reduce
 REDUCTION_MUTATIONS = {
-    "transposed_dickson": ("cyclic_reduce", _transposed_dickson),
+    "transposed_dickson": ("dickson", _transposed_dickson),
     "wrong_cinv_entry": ("singer_change_of_basis", _one_wrong_cinv_entry),
     "scaled_field_reduce": ("field_reduce", _scaled_field_reduce),
 }
@@ -369,7 +369,7 @@ def basis_route_failures(ctx):
     for i in range(ctx.m):
         for j in range(ctx.m):
             w = lf.word_scale(ctx, ctx.pow(ctx.g, j), tuple(int(k == i) for k in range(ctx.m)))
-            d = ge.cyclic_reduce(ctx, w)
+            d = ge.dickson(ctx, w)
             x = ge.field_reduce(ctx, mat_vec(ctx, cinv, w))
             xe = tuple(tuple(ctx.fq_elem(e) for e in row) for row in x)
             bad_cong += d != mat_mul(ctx, mat_mul(ctx, c, xe), mat_transpose(c))
@@ -418,21 +418,6 @@ def test_spread_partition_q3_m3(f27):
     assert len(union) == (3 ** 9 - 1) // 2
 
 
-@pytest.mark.parametrize("fixture", ["f27", "f64", "f125"])
-def test_spread_element_points_are_the_classes_of_all_multiples(fixture, request):
-    # the s points g^j r against the F_q-classes of all n multiples of rep
-    ctx = request.getfixturevalue(fixture)
-    s = ctx.subfield_index
-    for rep in sample_words(ctx, 10, seed=1):
-        multiples = [lf.word_scale(ctx, lam, rep) for lam in ctx.exp]
-        classes = {frozenset(lf.word_scale(ctx, c, v) for c in ctx.fq_elems[1:])
-                   for v in multiples}
-        points = ge.spread_element_points(ctx, rep)
-        assert len(points) == len(classes) == s
-        assert {next(cl for cl in classes if p in cl) for p in points} == classes
-        assert points == {ge.proj_normalize(ctx, v, s) for v in multiples}
-
-
 def test_segre_points_count_and_membership(f27):
     seg = ref.segre_points(f27)
     assert len(seg) == 169
@@ -454,7 +439,7 @@ def test_segre_word_classes(f27):
 def test_segre_invariant_only_under_norm_one_tau(f27):
     sw = ge.orbit_points(f27, cd.kind_component(f27, "PI", 1), 13)
     for alpha in (f27.exp[13], f27.exp[2], f27.g):
-        mapped = frozenset(ge.proj_normalize(f27, ge.tau(f27, alpha, w), 13) for w in sw)
+        mapped = frozenset(ge.proj_normalize(f27, ref.tau(f27, alpha, w), 13) for w in sw)
         if ref.norm(f27, alpha) == 1:
             assert mapped == sw
         else:
@@ -465,44 +450,33 @@ def test_segre_invariant_only_under_norm_one_tau(f27):
 @pytest.mark.parametrize("off_by_g", [False, True])
 def test_segre_check_on_rows_equals_the_class_set_comparison(fixture, off_by_g, request,
                                                              monkeypatch):
-    # the s^2 standard Segre classes mapped by tau against each PI image's
-    # classes, with tau as it is and with its last factor off by g
+    # the s^2 standard Segre classes scaled coordinatewise by pi(a)'s
+    # generator, the factors of tau, against each PI image's classes, with
+    # the generator as it is and with its last coordinate off by g; the
+    # mutation flips segre_equivalent alone
     ctx = request.getfixturevalue(fixture)
     s = ctx.subfield_index
+    fam = cd.build_family(ctx, ctx.fq_elems[2:])
+    before = ge.verify_spread_decomposition(fam).as_dict()
     if off_by_g:
-        tau = ge.tau
+        generator = ge.pi_generator
 
-        def off_tau(ctx, alpha, v):
-            *head, last = tau(ctx, alpha, v)
+        def off_generator(ctx, a):
+            *head, last = generator(ctx, a)
             return (*head, ctx.mul(ctx.g, last))
 
-        monkeypatch.setattr(ge, "tau", off_tau)
-    fam = cd.build_family(ctx, ctx.fq_elems[2:])
+        monkeypatch.setattr(ge, "pi_generator", off_generator)
     standard = {ge.proj_normalize(ctx, w, s) for w in cd.kind_component(ctx, "PI", 1).words}
     want = all(
-        {ge.proj_normalize(ctx, ge.tau(ctx, ctx.norm_fiber(c.a)[0], w), s) for w in standard}
+        {ge.proj_normalize(ctx, tuple(map(ctx.mul, ge.pi_generator(ctx, c.a), w)), s)
+         for w in standard}
         == {ge.proj_normalize(ctx, w, s) for w in c.words}
         for c in fam.components if c.kind == "PI")
-    assert ge.verify_spread_decomposition(fam).segre_equivalent is want is (not off_by_g)
-
-
-@pytest.mark.parametrize("fixture", ["f27", "f64", "f125"])
-def test_orbit_lines_equal_the_two_normalization_form(fixture, request):
-    # the grouping of every word by its point and its F_q-class, for the
-    # row-built component and for the same orbit given as a word set
-    ctx = request.getfixturevalue(fixture)
-    s = ctx.subfield_index
-    fam = cd.build_family(ctx, [ctx.fq_elems[2]])
-    for c in fam.components:
-        if c.kind == "ZERO":
-            continue
-        want = {}
-        for w in c.words:
-            want.setdefault(lf.proj_normalize(ctx, w), set()).add(lf.proj_normalize(ctx, w, s))
-        for comp in (c, cd.Component(c.kind, c.a, c.words, c.orbit_rep)):
-            got = ge.orbit_lines(ctx, comp)
-            assert list(got) == sorted(want)
-            assert got == {r: frozenset(names) for r, names in want.items()}
+    rep = ge.verify_spread_decomposition(fam)
+    assert rep.segre_equivalent is want is (not off_by_g)
+    after = rep.as_dict()
+    assert {k for k in before if before[k] != after[k]} == (
+        {"segre_equivalent", "ok"} if off_by_g else set())
 
 
 def j_report(ctx, j):
@@ -542,17 +516,6 @@ def test_hyperregulus_reports(f27):
         j_report(f27, cd.kind_component(f27, "J", 0))
     with pytest.raises(ValueError):
         ref.hyperregulus(f27, cd.kind_component(f27, "J", 0))
-
-
-def test_hyperregulus_members_are_spread_elements(f27):
-    # the report's J lines and the reference's members are the same
-    # elements of the materialized partition
-    spread = spread_partition(f27)
-    for a in (1, 2):
-        j = cd.kind_component(f27, "J", a)
-        lines = ge.orbit_lines(f27, j)
-        assert all(spread[key] == pts for key, pts in lines.items())
-        assert ref.hyperregulus(f27, j).members == tuple(lines.values())
 
 
 @pytest.mark.parametrize("fixture", ["f8", "f27", "f81"])
@@ -598,6 +561,53 @@ def test_hyperreguli_verdict_equals_the_five_field_reference(fixture, request):
         assert verdicts[name] == ref.hyperregulus(ctx, j).ok == rep.ok
     assert verdicts == {name: name == "whole" for name in verdicts}
     assert len(verdicts) == (3 if ctx.q == 2 else 4)
+
+
+def _changed(fam, code):
+    """The one component of `code` that is not a component of `fam`."""
+    (comp,) = [c for c in code.components if not any(c is d for d in fam.components)]
+    return comp
+
+
+@pytest.mark.parametrize("fixture", ["f8", "f27", "f64", "f125", "f81"])
+def test_orbit_lines_equal_the_two_normalization_form(fixture, request):
+    # every word's F_q-class grouped by its point, against orbit_lines' keys
+    # and class count: for the nonzero components of a built family, the
+    # same orbits given as word sets, and the J, cut-class and moved-point
+    # mutants.  s classes per key exactly when each group is the spread
+    # element at its key, and a built component's groups are the
+    # materialized partition's elements (m = 3, where it is small)
+    ctx = request.getfixturevalue(fixture)
+    s = ctx.subfield_index
+    if ctx.q > 2:
+        fam = cd.build_family(ctx, [ctx.fq_elems[2]])
+    else:
+        # q = 2 has no family: its axis components, PI(1) and J(1)
+        fam = cd.RankCode(ctx, ctx.m, tuple(cd.kind_component(ctx, kind, 1)
+                                            for kind in ("A1", "A2", "PI", "J")))
+    built = [c for c in fam.components if c.kind != "ZERO"]
+    kinds = [c.kind for c in built]
+    comps = built + [cd.Component(c.kind, c.a, c.words, c.orbit_rep) for c in built]
+    comps += list(j_mutants(ctx).values())
+    comps += [_changed(fam, cut_one_class(ctx, fam, kind)) for kind in kinds]
+    comps += [_changed(fam, move_one_point(ctx, fam, kind, new))
+              for kind in kinds if kind in ("PI", "J") for new in (None, free_point(ctx, fam))]
+    spread = spread_partition(ctx) if ctx.m == 3 else None
+    verdicts = set()
+    for comp in comps:
+        groups = {}
+        for w in comp.words:
+            groups.setdefault(lf.proj_normalize(ctx, w), set()).add(lf.proj_normalize(ctx, w, s))
+        keys, classes = ge.orbit_lines(ctx, comp)
+        assert keys == sorted(groups) and classes == sum(map(len, groups.values()))
+        whole = all(pts == ref.spread_line(ctx, key) for key, pts in groups.items())
+        assert (classes == s * len(keys)) is whole
+        verdicts.add(whole)
+        if comp.rows is not None and spread is not None:
+            assert all(spread[key] == pts for key, pts in groups.items())
+        if comp.kind == "J":
+            assert ref.hyperregulus(ctx, comp).members == tuple(frozenset(groups[k]) for k in keys)
+    assert verdicts == {True, False}
 
 
 # ----------------------------------------------------------------------
@@ -723,6 +733,27 @@ def test_spread_decomposition_checks_each_see_one_mutation(f27, f64, mutation, b
         assert failing_spread_checks(ge.verify_spread_decomposition(fam)) == {broken}
 
 
+@pytest.mark.parametrize("fixture", ["f27", "f64"])
+def test_spread_decomposition_sees_two_components_on_one_line(fixture, request):
+    # one F_q-class of a J line moved into A1: the two hold disjoint classes
+    # but share the line's key, so the spread elements they use are not
+    # disjoint; neither is whole, and A1 uses one element too many
+    ctx = request.getfixturevalue(fixture)
+    s = ctx.subfield_index
+    fam = cd.build_family(ctx, [ctx.fq_elems[2]])
+    j, a1 = (next(c for c in fam.components if c.kind == kind) for kind in ("J", "A1"))
+    r = min(j.rows)
+    cls = frozenset(lf.word_scale(ctx, c, r) for c in ctx.fq_elems[1:])
+    moved = {id(j): cd.Component("J", j.a, j.words - cls, j.orbit_rep),
+             id(a1): cd.Component("A1", a1.a, a1.words | cls, a1.orbit_rep)}
+    code = cd.RankCode(ctx, fam.claimed_distance,
+                       tuple(moved.get(id(c), c) for c in fam.components))
+    assert cd.disjoint_union(ge.orbit_points(ctx, c, s) for c in moved.values())[0]
+    assert all(r in ge.orbit_lines(ctx, c)[0] for c in moved.values())
+    assert failing_spread_checks(ge.verify_spread_decomposition(code)) == {
+        "axis_elements_ok", "hyperreguli_ok", "count", "elements_disjoint"}
+
+
 @pytest.mark.parametrize("fixture", ["f64", "f125", "f81"])
 def test_spread_decomposition_is_ok_beyond_the_printed_bound(fixture, request):
     # the one spread route runs at every field, with no partition built
@@ -731,27 +762,6 @@ def test_spread_decomposition_is_ok_beyond_the_printed_bound(fixture, request):
     rep = ge.verify_spread_decomposition(cd.build_family(ctx, [ctx.fq_elems[2]]))
     assert rep.ok
     assert rep.spread_elements_used == rep.expected_spread_elements == ctx.q ** ctx.m + 1
-
-
-@pytest.mark.parametrize("fixture, reads", [("f27", 2 + 13 + 13), ("f64", 2 + 21 + 2 * 21)])
-def test_spread_report_reads_the_partition_elements(fixture, reads, request, monkeypatch):
-    # every spread element the report reads, each at one key, against the
-    # materialized partition's element at that key
-    ctx = request.getfixturevalue(fixture)
-    spread = spread_partition(ctx)
-    read = {}
-    build = ge.spread_element_points
-
-    def recorded(ctx, rep):
-        key = lf.proj_normalize(ctx, rep)
-        assert key not in read
-        read[key] = build(ctx, rep)
-        return read[key]
-
-    monkeypatch.setattr(ge, "spread_element_points", recorded)
-    assert ge.verify_spread_decomposition(cd.build_family(ctx, [ctx.fq_elems[2]])).ok
-    assert len(read) == reads
-    assert all(spread[key] == pts for key, pts in read.items())
 
 
 def test_cyclic_summands_span(f27, f64):
