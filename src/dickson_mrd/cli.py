@@ -218,7 +218,7 @@ def cmd_splash(args) -> int:
     orbits = cf.Orbits(ctx)
     splash = orbits.splashes[orbits["PI", a]]
     b = ctx.pow(a, ctx.m - 1)
-    j_img = ge.orbit_points(ctx, orbits["J", b])
+    j_img = ge.orbit_points(orbits["J", b])
     curve = cf.verify_curve_splash(orbits, a)
     ok = splash == j_img and curve.ok
     _emit(args, {

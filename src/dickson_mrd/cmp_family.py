@@ -134,7 +134,7 @@ class Orbits(Memo):
         self.ctx = ctx
         self._images: Dict[Component, Optional[FrozenSet[ProjPoint]]] = {}
         self.splashes = Memo(lambda c: exterior_splash(
-            ctx, orbit_points(ctx, c), _SPLASH_LINE[c.kind]))
+            ctx, orbit_points(c), _SPLASH_LINE[c.kind]))
 
     def image(self, c: Component) -> Optional[FrozenSet[ProjPoint]]:
         """The points of the theta-image of the curve component c, the
@@ -145,7 +145,7 @@ class Orbits(Memo):
         if c not in self._images:
             ctx = self.ctx
             g, g_q2 = ctx.g, ctx.frobenius(ctx.g, 2)
-            points = orbit_points(ctx, c)
+            points = orbit_points(c)
             images = [theta(ctx, p) for p in points]
             semilinear = all(theta(ctx, word_scale(ctx, g, p)) == word_scale(ctx, g_q2, t)
                              for p, t in zip(points, images))
@@ -182,7 +182,7 @@ def verify_family_match(orbits: Orbits, I: Sequence[int], threads: int = 1) -> F
     target = orbits.keep(build_family(ctx, inv_I))
     by_tag_img = {orbits[theta_partner(ctx, c.kind, c.a)].tag(ctx): orbits.image(c)
                   for c in fam.components}
-    by_tag_tgt = {c.tag(ctx): orbit_points(ctx, c) for c in target.components}
+    by_tag_tgt = {c.tag(ctx): orbit_points(c) for c in target.components}
     matches = {
         tag: by_tag_img.get(tag) == by_tag_tgt.get(tag)
         for tag in sorted(set(by_tag_img) | set(by_tag_tgt))
@@ -205,8 +205,7 @@ def verify_component_maps(orbits: Orbits) -> Dict[str, dict]:
     ctx = orbits.ctx
 
     def maps(kind: str, a: int) -> bool:
-        return orbits.image(orbits[kind, a]) == orbit_points(
-            ctx, orbits[theta_partner(ctx, kind, a)])
+        return orbits.image(orbits[kind, a]) == orbit_points(orbits[theta_partner(ctx, kind, a)])
 
     return {
         fq_label(ctx, a): {
@@ -261,7 +260,7 @@ def verify_curve_splash(orbits: Orbits, a: int) -> CurveSplashReport:
 
     target = ctx.neg(ctx.mul(a, a))
     fiber_pts = norm_fiber_points_on_u(ctx, target)
-    z_img = orbit_points(ctx, orbits["Z", a])
+    z_img = orbit_points(orbits["Z", a])
     pi_splash = orbits.splashes[orbits[theta_partner(ctx, "GAMMA", a)]]
     mapped = frozenset(proj_normalize(ctx, theta(ctx, p)) for p in splash)
     return CurveSplashReport(

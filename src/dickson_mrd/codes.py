@@ -27,8 +27,9 @@ of a coordinate c != 0 are the window exp2[log c : log c + n], so each
 row's multiples are its coordinates' windows zipped together
 (`_row_multiples`).  Only the brute-force scans and save hold a
 component's words at once; the orbit scan ranks each word's matrix as the
-stream yields it, and every report of `geometry` reads each row's first
-few multiples (`geometry.orbit_points`), in O(rows) memory.
+stream yields it, and every report of `geometry` reads a built
+component's points, which are its rows (`geometry.orbit_points`), in
+O(rows) memory.
 `build_family` is the one place a family is composed, from `KINDS` or
 from the curve-model registry of `cmp_family`.
 
@@ -284,12 +285,10 @@ def _base_rows(ctx: FieldCtx, w: Word) -> Tuple[Word, ...]:
         for x in ctx.exp[:ctx.subfield_index]))
 
 
-def _row_multiples(ctx: FieldCtx, rows: Sequence[Word],
-                   count: Optional[int] = None) -> Iterator[Word]:
-    """The multiples g^0 r, ..., g^(n-1) r of each base row r in turn, with
-    n = count, by default all q^m - 1 nonzero ones: u c runs over the
-    window exp2[log c : log c + n]."""
-    n, log = ctx.mult_order if count is None else count, ctx.log
+def _row_multiples(ctx: FieldCtx, rows: Sequence[Word]) -> Iterator[Word]:
+    """The q^m - 1 nonzero multiples g^0 r, ..., g^(n-1) r of each base row
+    r in turn: u c runs over the window exp2[log c : log c + n]."""
+    n, log = ctx.mult_order, ctx.log
     exp2 = ctx.exp + ctx.exp
     multiples = (zip(*(itertools.islice(exp2, log[c], log[c] + n) if c
                        else itertools.repeat(0, n) for c in base)) for base in rows)

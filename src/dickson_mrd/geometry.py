@@ -7,12 +7,11 @@ Two projective spaces appear:
   so the first nonzero coordinate is 1 (`proj_normalize(ctx, v)`).
 * PG(m^2-1, q), in the cyclic model: the tensor square of V(m, q) is the set
   of q-circulant (Dickson) generator words, so its points are F_q-classes of
-  nonzero words.  F_q* = <g^s>, s = (q^m-1)/(q-1), so a class is named by its
-  member with leading coordinate g^j, 0 <= j < s (`proj_normalize(ctx, v, s)`).
-  The s classes g^0 r, ..., g^(s-1) r of the F_{q^m}-line through a
-  normalized point r of PG(m-1, q^m) are the element of the Desarguesian
-  spread keyed by r; the spread report reads every claim about the
-  family's image off each component's keys and its count of classes.
+  nonzero words.  The F_{q^m}-line through a normalized point r of
+  PG(m-1, q^m), its q^m - 1 nonzero multiples, holds s = (q^m-1)/(q-1)
+  classes and is the element of the Desarguesian spread keyed by r; the
+  spread report reads every claim about the family's image off each
+  component's keys and its size.
 
 The lines of PG(m-1, q^m) the claims name are coordinate lines, read off
 coordinates and never enumerated: the J images lie on the points with
@@ -42,8 +41,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Sized, Tuple
 
-from .codes import (Component, RankCode, Report, _row_multiples, disjoint_union, kind_component,
-                    pi_generator)
+from .codes import Component, RankCode, Report, disjoint_union, kind_component, pi_generator
 from .gfield import FieldCtx
 from .linalg import fq_rank, mat_inv, mat_mul, mat_rank, mat_transpose, mat_vec
 from .linforms import Word, dickson, proj_normalize
@@ -55,18 +53,16 @@ TensorMat = Tuple[Tuple[int, ...], ...]
 # points of PG(m-1, q^m)
 # ----------------------------------------------------------------------
 
-def orbit_points(ctx: FieldCtx, comp: Component, index: int = 1) -> FrozenSet[Word]:
-    """The `proj_normalize(ctx, w, index)` points of a single Singer-pair
-    orbit, with no field arithmetic: the orbit is closed under F_{q^m}*
-    scalars, so they are exactly its words whose leading log is below index,
-    the multiples g^0 r, ..., g^(index-1) r of its base rows r.  A component
-    given as a word set has its words filtered instead."""
+def orbit_points(comp: Component) -> FrozenSet[Word]:
+    """The `proj_normalize` points of a single Singer-pair orbit, with no
+    field arithmetic: the orbit is closed under F_{q^m}* scalars, so they
+    are exactly its words with leading coordinate 1, a built component's
+    base rows.  A component given as a word set has its words filtered."""
     if comp.orbit_rep is None:
         raise ValueError(f"{comp.kind} component is not a single orbit")
     if comp.rows is not None:
-        return frozenset(_row_multiples(ctx, comp.rows, index))
-    log = ctx.log
-    return frozenset(w for w in comp.words if 0 <= log[next(filter(None, w), 0)] < index)
+        return frozenset(comp.rows)
+    return frozenset(w for w in comp.words if next(filter(None, w), 0) == 1)
 
 
 # ----------------------------------------------------------------------
@@ -161,19 +157,14 @@ def spread_point_count(ctx: FieldCtx) -> int:
     return (ctx.q ** (ctx.m * ctx.m) - 1) // (ctx.q - 1)
 
 
-def orbit_lines(ctx: FieldCtx, comp: Component) -> Tuple[List[ProjPoint], int]:
-    """(keys, classes) of a single orbit: the ascending normalized points of
-    the F_{q^m}-lines its F_q-classes (`orbit_points` at index s) span, and
-    the number of those classes.  A built component's keys are its base
-    rows, each line holding its s classes g^0 r, ..., g^(s-1) r; a given
-    word set has its classes counted and their points read off.  The
-    classes on the line of r are among those s, so each line is a whole
-    spread element exactly when classes == s * len(keys)."""
-    s = ctx.subfield_index
+def orbit_lines(ctx: FieldCtx, comp: Component) -> List[ProjPoint]:
+    """The keys of a single orbit: the ascending normalized points of the
+    F_{q^m}-lines its words span, a built component's base rows or a given
+    word set's points read off.  Each line holds q^m - 1 nonzero words, so
+    every line is whole exactly when comp.size == (q^m - 1) * len(keys)."""
     if comp.rows is not None:
-        return sorted(comp.rows), len(comp.rows) * s
-    classes = orbit_points(ctx, comp, s)
-    return sorted({proj_normalize(ctx, cls) for cls in classes}), len(classes)
+        return sorted(comp.rows)
+    return sorted({proj_normalize(ctx, w) for w in comp.words if any(w)})
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +216,7 @@ def component_images(code: RankCode) -> List[Tuple[str, FrozenSet[ProjPoint]]]:
     A1, A2, then the PI and J components in family order."""
     comps = ([c for c in code.components if c.kind in ("A1", "A2")]
              + [c for c in code.components if c.kind in ("PI", "J")])
-    return [(c.tag(code.ctx), orbit_points(code.ctx, c)) for c in comps]
+    return [(c.tag(code.ctx), orbit_points(c)) for c in comps]
 
 
 def verify_projective_decomposition(code: RankCode) -> ProjectiveDecompositionReport:
@@ -285,27 +276,25 @@ class SpreadDecompositionReport(Report):
 
 def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
     """Compare the family's F_q-classes with the Desarguesian spread of
-    PG(m^2-1, q) from each nonzero component's line keys and class count
-    (`orbit_lines`): a component is whole when it has s classes per key,
-    and every check reads the keys and the counts alone.
+    PG(m^2-1, q) from each nonzero component's line keys (`orbit_lines`)
+    and size: a component is whole when it holds q^m - 1 words per key, and
+    every check reads the keys and the sizes alone.
 
-    These are the spread's elements with no partition built: every
-    F_q-class has one normal form `proj_normalize(w, s)`; it lies on one
-    F_{q^m}-line, its F_{q^m}*-closure, named by `proj_normalize(w)`; and
-    the line through r = proj_normalize(rep) holds the s classes g^0 r, ...,
-    g^(s-1) r, which are distinct, since F_q* = <g^s>.  So the elements
-    keyed by the points of PG(m-1, q^m) partition PG(m^2-1, q), whole
-    components hold each element they meet, and they are disjoint exactly
-    when no key is listed twice."""
+    These are the spread's elements with no partition built: every nonzero
+    word w lies on one F_{q^m}-line, its F_{q^m}*-closure, named by
+    `proj_normalize(w)`, and that line's q^m - 1 words are s F_q-classes.
+    So the elements keyed by the points of PG(m-1, q^m) partition
+    PG(m^2-1, q), whole components hold each element they meet, and they
+    are disjoint exactly when no key is listed twice."""
     pis, js = _pi_and_j(code)
     ctx = code.ctx
     per = ctx.subfield_index
     comps = [c for c in code.components if c.kind in ("A1", "A2", "PI", "J")]
     lines = {c: orbit_lines(ctx, c) for c in comps}
-    whole = {c: classes == per * len(keys) for c, (keys, classes) in lines.items()}
+    whole = {c: c.size == ctx.mult_order * len(keys) for c, keys in lines.items()}
 
     # the two axis components are single spread elements
-    axis_ok = all(whole[c] and lines[c][0] == [proj_normalize(ctx, c.orbit_rep)]
+    axis_ok = all(whole[c] and lines[c] == [proj_normalize(ctx, c.orbit_rep)]
                   for c in lines if c.kind in ("A1", "A2"))
 
     # pi components are Segre varieties: images of the standard one, pi(1),
@@ -318,11 +307,11 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
     segre_counts = {}
     segre_equiv = True
     for c in pis:
-        keys, n = lines[c]
+        n = c.size // (ctx.q - 1)
         segre_counts[c.tag(ctx)] = n
         f = pi_generator(ctx, c.a)
         mapped = {proj_normalize(ctx, tuple(map(ctx.mul, f, r))) for r in base_rows}
-        segre_equiv &= mapped == set(keys) and n == per * per
+        segre_equiv &= mapped == set(lines[c]) and n == per * per
 
     # a J(a) component is a hyperregulus when it is whole and its keys are
     # exactly the generators (1, 0, ..., 0, y) over the norm fiber
@@ -332,14 +321,14 @@ def verify_spread_decomposition(code: RankCode) -> SpreadDecompositionReport:
     hyper = {}
     for c in js:
         fiber = ctx.norm_fiber(ctx.neg(c.a) if ctx.m % 2 else c.a)
-        hyper[c.tag(ctx)] = whole[c] and set(lines[c][0]) == {axis + (y,) for y in fiber}
+        hyper[c.tag(ctx)] = whole[c] and set(lines[c]) == {axis + (y,) for y in fiber}
 
     # the J and axis images lie in the span of the two axis spread
     # elements: on points (so words) supported on the first and last coordinate
     ja = [c for c in code.components if c.kind in ("J", "A1", "A2")]
-    ja_in_span = all(not any(p[1:-1]) for c in ja for p in orbit_points(ctx, c))
+    ja_in_span = all(not any(p[1:-1]) for c in ja for p in orbit_points(c))
 
-    used = [key for c in comps for key in lines[c][0]]
+    used = [key for c in comps for key in lines[c]]
     return SpreadDecompositionReport(
         axis_elements_ok=axis_ok,
         segre_counts=segre_counts,

@@ -193,10 +193,11 @@ class FieldCtx:
         self.g = self.exp[1]
         # q^i mod (q^m - 1) for Frobenius exponent arithmetic
         self._qpow = [pow(self.q, i, self.mult_order) for i in range(m)]
+        # conj_logs[j][i] = log((g^j)^(q^i)), the Frobenius images of the basis
+        self.conj_logs = [[j * qi % self.mult_order for qi in self._qpow] for j in range(m)]
         self._half = self.mult_order // 2 if p != 2 else 0
         self._build_subfield_tables()
         self._coords_map = None
-        self._conj_logs = None
         self._automaton = None
 
     # -- table construction -------------------------------------------------
@@ -338,13 +339,6 @@ class FieldCtx:
         if len(mapping) != self.order:
             raise RuntimeError("g-power basis failed to span the field")
         self._coords_map = mapping
-
-    def conj_logs(self) -> List[List[int]]:
-        """conj_logs[j][i] = log((g^j)^(q^i)), the Frobenius images of the basis."""
-        if self._conj_logs is None:
-            n = self.mult_order
-            self._conj_logs = [[j * qi % n for qi in self._qpow] for j in range(self.m)]
-        return self._conj_logs
 
     def subspace_automaton(self) -> Optional[Tuple[List[List[int]], List[List[int]], List[int]]]:
         """(step, sub, dim) on the lattice of F_q-subspaces of F_{q^m}, or

@@ -41,15 +41,12 @@ def word_scale(ctx: FieldCtx, c: int, w: Word) -> Word:
     return tuple(mul(c, a) for a in w)
 
 
-def proj_normalize(ctx: FieldCtx, v: Sequence[int], index: int = 1) -> Tuple[int, ...]:
-    """v divided by g^(k - (k mod index)), k the log of its first nonzero
-    coordinate, which becomes g^j with 0 <= j < index: the name of v's class
-    under <g^index>.  Index 1 gives a leading 1, a point of PG(m-1, q^m);
-    index s = (q^m-1)/(q-1) names an F_q-class, as F_q* = <g^s>."""
+def proj_normalize(ctx: FieldCtx, v: Sequence[int]) -> Tuple[int, ...]:
+    """v divided by its first nonzero coordinate, which becomes 1: the point
+    of PG(m-1, q^m) that v spans."""
     for c in v:
         if c:
-            k = ctx.log[c]
-            inv = ctx.inv(ctx.exp[k - k % index])
+            inv = ctx.inv(c)
             return tuple(ctx.mul(inv, x) for x in v)
     raise ValueError("cannot normalize the zero vector")
 
@@ -65,7 +62,7 @@ def linmap_fq_matrix(ctx: FieldCtx, w: Word) -> Columns:
     log, exp, zech, n = ctx.log, ctx.exp, ctx.zech, ctx.mult_order
     terms = [(log[a], i) for i, a in enumerate(w) if a]
     cols = []
-    for conj in ctx.conj_logs():
+    for conj in ctx.conj_logs:
         acc = -1  # log of the partial sum, -1 for zero
         for la, i in terms:
             t = (la + conj[i]) % n

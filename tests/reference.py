@@ -9,7 +9,8 @@ The second part holds routes the package does not run, kept as the tests'
 second route to what the package computes: the element list, the p-power
 Frobenius map, trace, norm and the inverse of `coords` on the field
 tables, the coordinate rescaling tau that carries pi(1) onto pi(a), the
-spread partition and the hyperregulus checks of a J component one by one,
+name of a word's F_q-class, the spread partition and the hyperregulus
+checks of a J component one by one,
 word arithmetic, Dickson matrices and their rank over F_{q^m}, root
 spaces, composition and the automorphism action, projective images and
 linear sets, lines of PG(m-1, q^m) as point sets and the exterior splash
@@ -194,9 +195,20 @@ def spread_partition(ctx):
     return elements
 
 
+def fq_class(ctx, v):
+    """The name of v's F_q-class: v divided by g^(k - (k mod s)), k the log
+    of its first nonzero coordinate, which becomes g^j with 0 <= j < s.
+    F_q* = <g^s>, s = (q^m-1)/(q-1), so this is its one F_q*-multiple with
+    such a leading coordinate."""
+    s = ctx.subfield_index
+    k = ctx.log[next(filter(None, v))]
+    inv = ctx.inv(ctx.exp[k - k % s])
+    return tuple(ctx.mul(inv, x) for x in v)
+
+
 def spread_line(ctx, r):
-    """The spread element of the normalized point r: the normal forms
-    g^0 r, ..., g^(s-1) r."""
+    """The spread element of the normalized point r: the `fq_class` names
+    g^0 r, ..., g^(s-1) r of its F_q-classes."""
     return frozenset(word_scale(ctx, x, r) for x in ctx.exp[:ctx.subfield_index])
 
 
@@ -231,7 +243,7 @@ def hyperregulus(ctx, component):
     s = ctx.subfield_index
     groups = {}
     for w in component.words:
-        groups.setdefault(proj_normalize(ctx, w), set()).add(proj_normalize(ctx, w, s))
+        groups.setdefault(proj_normalize(ctx, w), set()).add(fq_class(ctx, w))
     members = tuple(frozenset(pts) for _, pts in sorted(groups.items()))
     target = ctx.neg(component.a) if ctx.m % 2 else component.a
     axis = (1,) + (0,) * (ctx.m - 2)

@@ -593,23 +593,18 @@ def test_cmp_and_splash_build_no_word_set(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--p", "5", "--m", "3", "--set", "2"],
-    ["--p", "3", "--m", "4", "--set", "2"],
+    ["geometry", "--p", "5", "--m", "3", "--set", "2", "--sample", "10"],
+    ["geometry", "--p", "3", "--m", "4", "--set", "2", "--sample", "10"],
+    ["splash", "--p", "5", "--a", "4"],
 ])
-def test_geometry_streams_no_fq_class_window(capsys, monkeypatch, argv):
-    # every report reads one multiple of each base row, its point of
-    # PG(m-1, q^m); the spread report counts each component's F_q-classes
-    # from its rows, so no row's s multiples are streamed
-    counts = []
-    stream = ge._row_multiples
-
-    def recorded(ctx, rows, count=None):
-        counts.append(count)
-        return stream(ctx, rows, count)
-
-    monkeypatch.setattr(ge, "_row_multiples", recorded)
-    code, _, _ = run(capsys, "geometry", *argv, "--sample", "10")
-    assert code == 0 and counts and set(counts) == {1}
+def test_geometry_and_splash_stream_no_row_multiples(capsys, monkeypatch, argv):
+    # a built component's points are its rows and its lines their keys, so
+    # no report streams a row's multiples
+    calls = []
+    stream = cd._row_multiples
+    monkeypatch.setattr(cd, "_row_multiples", lambda *a: calls.append(a) or stream(*a))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and calls == []
 
 
 @pytest.mark.parametrize("argv", [

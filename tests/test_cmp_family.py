@@ -156,17 +156,19 @@ def test_orbit_points_equal_the_projective_image(fixture, request):
     ctx = request.getfixturevalue(fixture)
     orbits = cf.Orbits(ctx)
     keys = [(kind, a) for kind in ("GAMMA", "Z", "PI", "J") for a in ctx.fq_elems[1:]]
-    s = ctx.subfield_index
     for kind, a in keys + [("A1", None), ("A2", None), ("A2P", None), ("ZERO", None)]:
         comp = orbits[kind, a]
-        assert ge.orbit_points(ctx, comp) == ref.proj_image(ctx, comp.words)
-        classes = frozenset(ge.proj_normalize(ctx, w, s) for w in comp.words if any(w))
-        assert ge.orbit_points(ctx, comp, s) == classes
+        assert ge.orbit_points(comp) == ref.proj_image(ctx, comp.words)
+        # its F_q-classes are the spread elements at its line keys
+        classes = frozenset(ref.fq_class(ctx, w) for w in comp.words if any(w))
+        lines = [ref.spread_line(ctx, r) for r in ge.orbit_lines(ctx, comp)]
+        assert classes == frozenset().union(*lines)
+        assert len(classes) == comp.size // (ctx.q - 1)
 
 
 def _word_filter(ctx, comp, index):
-    """The points of an orbit by its words: those whose leading log is
-    below index."""
+    """The words of an orbit whose leading log is below index: its points
+    at index 1, the names of its F_q-classes at index s."""
     log = ctx.log
     return frozenset(w for w in comp.words if 0 <= log[next(filter(None, w), 0)] < index)
 
@@ -182,11 +184,11 @@ def test_orbit_points_from_rows_equal_the_word_filter(fixture, request):
                  for kind in (first, second) for a in ctx.fq_elems[1:]]
         comps += [cd.kind_component(ctx, kind, None, kinds) for kind in rest if kind != "ZERO"]
         for comp in comps:
-            indices = (1, ctx.subfield_index)
-            points = [ge.orbit_points(ctx, comp, index) for index in indices]
+            points = ge.orbit_points(comp)
             assert comp.rows is not None and "words" not in vars(comp)
-            for index, pts in zip(indices, points):
-                assert pts == _word_filter(ctx, comp, index), (comp.kind, comp.a, index)
+            assert points == _word_filter(ctx, comp, 1), (comp.kind, comp.a)
+            classes = frozenset(ref.fq_class(ctx, w) for w in comp.words)
+            assert classes == _word_filter(ctx, comp, ctx.subfield_index), (comp.kind, comp.a)
 
 
 @pytest.mark.parametrize("fixture", ["f27", "f64", "f125"])
@@ -233,7 +235,7 @@ def test_a_theta_that_is_not_semilinear_fails_every_comparison(f27, monkeypatch,
 def test_orbit_points_need_an_orbit(f27):
     comp = cd.Component("OTHER", None, cd.kind_component(f27, "PI", 1).words)
     with pytest.raises(ValueError, match="not a single orbit"):
-        ge.orbit_points(f27, comp)
+        ge.orbit_points(comp)
 
 
 def test_theta_swaps_the_axes(f27):
@@ -377,7 +379,7 @@ def test_coordinate_splash_equals_the_cross_product_route(fixture, request):
         line = ref.line_through(ctx, p, q)
         for a in ctx.fq_elems[1:]:
             comp = orbits[kind, a]
-            points = ge.orbit_points(ctx, comp)
+            points = ge.orbit_points(comp)
             assert orbits.splashes[comp] == ref.exterior_splash(ctx, points, line)
 
 

@@ -112,7 +112,7 @@ def test_proj_normalize_names_an_fq_class_by_table_free_arithmetic(fixture, requ
     for w in sample_words(ctx, 60, seed=ctx.order):
         multiples = {tuple(ref_mul(ctx, e, x) for x in w) for e in fq_star}
         named = [v for v in multiples if next(filter(None, v)) in leads]
-        assert named == [ge.proj_normalize(ctx, w, s)]
+        assert named == [ref.fq_class(ctx, w)]
 
 
 # ----------------------------------------------------------------------
@@ -428,18 +428,17 @@ def test_segre_points_count_and_membership(f27):
 
 
 def test_segre_word_classes(f27):
-    sw = ge.orbit_points(f27, cd.kind_component(f27, "PI", 1), 13)
-    assert len(sw) == 169
-    pi1 = cd.kind_component(f27, "PI", 1).words
-    assert sw == frozenset(ge.proj_normalize(f27, w, 13) for w in pi1)
+    pi1 = cd.kind_component(f27, "PI", 1)
+    sw = frozenset(ref.fq_class(f27, w) for w in pi1.words)
+    assert len(sw) == 169 == pi1.size // (f27.q - 1)
     for w in sw:
         assert ref.rank(f27, w) == 1
 
 
 def test_segre_invariant_only_under_norm_one_tau(f27):
-    sw = ge.orbit_points(f27, cd.kind_component(f27, "PI", 1), 13)
+    sw = frozenset(ref.fq_class(f27, w) for w in cd.kind_component(f27, "PI", 1).words)
     for alpha in (f27.exp[13], f27.exp[2], f27.g):
-        mapped = frozenset(ge.proj_normalize(f27, ref.tau(f27, alpha, w), 13) for w in sw)
+        mapped = frozenset(ref.fq_class(f27, ref.tau(f27, alpha, w)) for w in sw)
         if ref.norm(f27, alpha) == 1:
             assert mapped == sw
         else:
@@ -455,7 +454,6 @@ def test_segre_check_on_rows_equals_the_class_set_comparison(fixture, off_by_g, 
     # the generator as it is and with its last coordinate off by g; the
     # mutation flips segre_equivalent alone
     ctx = request.getfixturevalue(fixture)
-    s = ctx.subfield_index
     fam = cd.build_family(ctx, ctx.fq_elems[2:])
     before = ge.verify_spread_decomposition(fam).as_dict()
     if off_by_g:
@@ -466,11 +464,10 @@ def test_segre_check_on_rows_equals_the_class_set_comparison(fixture, off_by_g, 
             return (*head, ctx.mul(ctx.g, last))
 
         monkeypatch.setattr(ge, "pi_generator", off_generator)
-    standard = {ge.proj_normalize(ctx, w, s) for w in cd.kind_component(ctx, "PI", 1).words}
+    standard = {ref.fq_class(ctx, w) for w in cd.kind_component(ctx, "PI", 1).words}
     want = all(
-        {ge.proj_normalize(ctx, tuple(map(ctx.mul, ge.pi_generator(ctx, c.a), w)), s)
-         for w in standard}
-        == {ge.proj_normalize(ctx, w, s) for w in c.words}
+        {ref.fq_class(ctx, tuple(map(ctx.mul, ge.pi_generator(ctx, c.a), w))) for w in standard}
+        == {ref.fq_class(ctx, w) for w in c.words}
         for c in fam.components if c.kind == "PI")
     rep = ge.verify_spread_decomposition(fam)
     assert rep.segre_equivalent is want is (not off_by_g)
@@ -571,14 +568,13 @@ def _changed(fam, code):
 
 @pytest.mark.parametrize("fixture", ["f8", "f27", "f64", "f125", "f81"])
 def test_orbit_lines_equal_the_two_normalization_form(fixture, request):
-    # every word's F_q-class grouped by its point, against orbit_lines' keys
-    # and class count: for the nonzero components of a built family, the
-    # same orbits given as word sets, and the J, cut-class and moved-point
-    # mutants.  s classes per key exactly when each group is the spread
-    # element at its key, and a built component's groups are the
-    # materialized partition's elements (m = 3, where it is small)
+    # every word grouped by its point, against orbit_lines' keys: for the
+    # nonzero components of a built family, the same orbits given as word
+    # sets, and the J, cut-class and moved-point mutants.  A component holds
+    # q^m - 1 words per key exactly when each group is the whole line
+    # {u key} at its key; a built component's groups, named by F_q-class,
+    # are the materialized partition's elements (m = 3, where it is small)
     ctx = request.getfixturevalue(fixture)
-    s = ctx.subfield_index
     if ctx.q > 2:
         fam = cd.build_family(ctx, [ctx.fq_elems[2]])
     else:
@@ -597,17 +593,38 @@ def test_orbit_lines_equal_the_two_normalization_form(fixture, request):
     for comp in comps:
         groups = {}
         for w in comp.words:
-            groups.setdefault(lf.proj_normalize(ctx, w), set()).add(lf.proj_normalize(ctx, w, s))
-        keys, classes = ge.orbit_lines(ctx, comp)
-        assert keys == sorted(groups) and classes == sum(map(len, groups.values()))
-        whole = all(pts == ref.spread_line(ctx, key) for key, pts in groups.items())
-        assert (classes == s * len(keys)) is whole
+            groups.setdefault(lf.proj_normalize(ctx, w), set()).add(w)
+        keys = ge.orbit_lines(ctx, comp)
+        assert keys == sorted(groups)
+        whole = all(ws == {lf.word_scale(ctx, u, key) for u in ctx.exp}
+                    for key, ws in groups.items())
+        assert (comp.size == ctx.mult_order * len(keys)) is whole
         verdicts.add(whole)
+        classes = {key: {ref.fq_class(ctx, w) for w in ws} for key, ws in groups.items()}
         if comp.rows is not None and spread is not None:
-            assert all(spread[key] == pts for key, pts in groups.items())
+            assert all(spread[key] == pts for key, pts in classes.items())
         if comp.kind == "J":
-            assert ref.hyperregulus(ctx, comp).members == tuple(frozenset(groups[k]) for k in keys)
+            assert ref.hyperregulus(ctx, comp).members == tuple(frozenset(classes[k]) for k in keys)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("fixture", ["f27", "f64", "f125", "f81"])
+@pytest.mark.parametrize("cut", ["base_row", "fq_multiple"])
+def test_hyperreguli_see_one_word_cut_from_a_class(fixture, cut, request):
+    # one word of one F_q-class cut from J: the base row r itself, or c r
+    # for some c in F_q* other than 1.  Every class keeps a member, so the
+    # reference's classes are unchanged; the J line holding r lacks a word,
+    # which flips the J verdict alone
+    ctx = request.getfixturevalue(fixture)
+    whole = cd.kind_component(ctx, "J", ctx.fq_elems[-1])
+    r = min(whole.rows)
+    w = r if cut == "base_row" else lf.word_scale(ctx, ctx.fq_elems[2], r)
+    assert (w == r) is (cut == "base_row")
+    cut_j = cd.Component("J", whole.a, whole.words - {w}, whole.orbit_rep)
+    assert ref.hyperregulus(ctx, cut_j).members == ref.hyperregulus(ctx, whole).members
+    before, after = j_report(ctx, whole).as_dict(), j_report(ctx, cut_j).as_dict()
+    assert {k for k in before if before[k] != after[k]} == {"hyperreguli_ok", "ok"}
+    assert after["hyperreguli_ok"] == {cut_j.tag(ctx): False}
 
 
 # ----------------------------------------------------------------------
@@ -654,7 +671,7 @@ def test_projective_decomposition_fields_each_see_one_moved_point(fixture, kind,
     ctx = request.getfixturevalue(fixture)
     fam = cd.build_family(ctx, [ctx.fq_elems[2]])
     j = next(c for c in fam.components if c.kind == "J")
-    new = {"cut": None, "shared": min(ge.orbit_points(ctx, j)), "free": free_point(ctx, fam)}
+    new = {"cut": None, "shared": min(ge.orbit_points(j)), "free": free_point(ctx, fam)}
     rep = ge.verify_projective_decomposition(move_one_point(ctx, fam, kind, new[move]))
     checks = {"sizes_ok": rep.sizes_ok, "disjoint": rep.disjoint, "j_on_line": rep.j_on_line}
     assert {name for name, value in checks.items() if not value} == {broken} and not rep.ok
@@ -739,7 +756,6 @@ def test_spread_decomposition_sees_two_components_on_one_line(fixture, request):
     # but share the line's key, so the spread elements they use are not
     # disjoint; neither is whole, and A1 uses one element too many
     ctx = request.getfixturevalue(fixture)
-    s = ctx.subfield_index
     fam = cd.build_family(ctx, [ctx.fq_elems[2]])
     j, a1 = (next(c for c in fam.components if c.kind == kind) for kind in ("J", "A1"))
     r = min(j.rows)
@@ -748,8 +764,9 @@ def test_spread_decomposition_sees_two_components_on_one_line(fixture, request):
              id(a1): cd.Component("A1", a1.a, a1.words | cls, a1.orbit_rep)}
     code = cd.RankCode(ctx, fam.claimed_distance,
                        tuple(moved.get(id(c), c) for c in fam.components))
-    assert cd.disjoint_union(ge.orbit_points(ctx, c, s) for c in moved.values())[0]
-    assert all(r in ge.orbit_lines(ctx, c)[0] for c in moved.values())
+    assert cd.disjoint_union(frozenset(ref.fq_class(ctx, w) for w in c.words)
+                             for c in moved.values())[0]
+    assert all(r in ge.orbit_lines(ctx, c) for c in moved.values())
     assert failing_spread_checks(ge.verify_spread_decomposition(code)) == {
         "axis_elements_ok", "hyperreguli_ok", "count", "elements_disjoint"}
 
@@ -858,7 +875,7 @@ def test_j_on_line_is_containment_in_the_first_last_line(fixture, request):
     for code, expected in ((fam, True), (move_one_point(ctx, fam, "J", on_line), True),
                            (move_one_point(ctx, fam, "J", free_point(ctx, fam)), False)):
         js = [c for c in code.components if c.kind == "J"]
-        contained = all(ge.orbit_points(ctx, c) <= line for c in js)
+        contained = all(ge.orbit_points(c) <= line for c in js)
         assert ge.verify_projective_decomposition(code).j_on_line == contained == expected
 
 
