@@ -13,6 +13,9 @@ Each component is a single orbit of the diagonal Singer pair action
 w -> (c a_0 x, c a_1 x^q, ...), which is what the `orbit` distance mode
 exploits: rank distance is invariant under that action, so one fixed
 representative per component suffices on one side of every pair.
+`distance_distribution` ranks the same pairs when every component is such
+an orbit, and weights each count by the left orbit's size (halved within
+one orbit); any other code ranks every pair.
 
 The registry `KINDS` holds one generator per kind and nothing else;
 `kind_component` derives a component from it as its base rows (the
@@ -379,44 +382,50 @@ _BATCH = 1024
 
 def _stripe(args):
     """Reduce the ranks of one share of the scan: each pair block
-    (lefts, rights) of `share(offset, step)` ranks every left against every
-    right."""
+    (j, lefts, rights) of `share(offset, step)` ranks every left against
+    every right, where j names the rights' component (None when they span
+    several).  `min` gives the least rank, `hist` the count of pairs per
+    (left's index, j, rank)."""
     mode, offset, step = args
     tables, m = _PAR_STATE["tables"], _PAR_STATE["m"]
     best = m
-    counts = [0] * (m + 1)
-    for lefts, rights in _PAR_STATE["share"](offset, step):
-        for left in lefts:
+    counts: dict = {}
+    for j, lefts, rights in _PAR_STATE["share"](offset, step):
+        for i, left in enumerate(lefts):
+            row = counts.setdefault((i, j), [0] * (m + 1))
             for right in rights:
                 r = _rank_of(left, right, tables)
                 if mode == "hist":
-                    counts[r] += 1
+                    row[r] += 1
                 elif r < best:
                     best = r
                     if best == 1:
                         return best
-    return best if mode == "min" else {r: c for r, c in enumerate(counts) if c}
+    if mode == "min":
+        return best
+    return {(i, j, r): c for (i, j), row in counts.items() for r, c in enumerate(row) if c}
 
 
 def _orbit_share(ctx: FieldCtx, components: Sequence[Component], reps: List[Columns],
-                 offset: int, step: int) -> Iterator[Tuple[List[Columns], Sequence[Columns]]]:
+                 offset: int, step: int
+                 ) -> Iterator[Tuple[int, List[Columns], Sequence[Columns]]]:
     """The pair blocks of every step-th word from offset on, the words laid
-    out component by component with each representative first.  A word is
-    ranked against the representatives `reps` of the earlier components,
-    and of its own unless it is that representative; its matrix is built
-    when its batch is read."""
+    out component by component with each representative first.  A word of
+    component j is ranked against the representatives `reps` of the earlier
+    components, and of its own unless it is that representative; its
+    matrix is built when its batch is read."""
     pos = 0
     for j, comp in enumerate(components):
         rep = comp.orbit_rep
         if pos % step == offset:
-            yield reps[:j], (linmap_fq_matrix(ctx, rep),)
+            yield j, reps[:j], (linmap_fq_matrix(ctx, rep),)
         rest = itertools.islice(filter(rep.__ne__, comp.iter_words()),
                                 (offset - pos - 1) % step, None, step)
         while True:
             batch = [linmap_fq_matrix(ctx, w) for w in itertools.islice(rest, _BATCH)]
             if not batch:
                 break
-            yield reps[:j + 1], batch
+            yield j, reps[:j + 1], batch
         pos += comp.size
 
 
@@ -435,7 +444,7 @@ def _all_pairs(code: RankCode, source: str, mode: str, threads: int):
     ctx = code.ctx
     if source == "bruteforce":
         mats = [linmap_fq_matrix(ctx, w) for c in code.components for w in c.iter_words()]
-        share = lambda offset, step: (((left,), mats[i + 1 + offset::step])
+        share = lambda offset, step: ((None, (left,), mats[i + 1 + offset::step])
                                       for i, left in enumerate(mats))
     else:
         reps = [linmap_fq_matrix(ctx, c.orbit_rep) for c in code.components]
@@ -475,11 +484,34 @@ def min_distance(code: RankCode, mode: str = "bruteforce", threads: int = 1) -> 
 
 
 def distance_distribution(code: RankCode, threads: int = 1) -> Dict[int, int]:
-    """Histogram rank -> number of unordered pairs at that rank distance."""
-    parts = _all_pairs(code, "bruteforce", "hist", threads)
+    """Histogram rank -> number of unordered pairs at that rank distance.
+
+    A code whose components are all Singer-pair orbits takes the orbit
+    scan's pairs, each weighted.  Let component i have representative r_i
+    and n_i words.  The action moves r_i onto every word of its orbit,
+    preserves every component and keeps rank distance, so each word of
+    O_i has as many words of O_j at each rank as r_i has.  Hence the pairs
+    of O_i x O_j (i < j) at rank r number n_i * #{y in O_j : rank(r_i - y)
+    = r}, and those within O_i number half of n_i * #{y in O_i, y != r_i :
+    rank(r_i - y) = r}; that product must be even.  O(components * N)
+    ranks, in exact integers.  Any other code (an `OTHER` component, or
+    a loaded one its orbit check did not prove) ranks every pair."""
+    orbit = code.has_orbit_structure()
+    parts: Counter = Counter()
+    for part in _all_pairs(code, "orbit" if orbit else "bruteforce", "hist", threads):
+        parts.update(part)
+    sizes = [c.size for c in code.components]
     total: Counter = Counter()
-    for part in parts:
-        total.update(part)
+    for (i, j, r), count in parts.items():
+        if not orbit:
+            total[r] += count
+        elif i < j:
+            total[r] += sizes[i] * count
+        else:
+            pairs, odd = divmod(sizes[i] * count, 2)
+            if odd:
+                raise RuntimeError("odd within-orbit pair count in distance distribution")
+            total[r] += pairs
     n = code.size
     if sum(total.values()) != n * (n - 1) // 2:
         raise RuntimeError("pair count mismatch in distance distribution")

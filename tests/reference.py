@@ -15,8 +15,9 @@ word arithmetic, Dickson matrices and their rank over F_{q^m}, root
 spaces, composition and the automorphism action, projective images and
 linear sets, lines of PG(m-1, q^m) as point sets and the exterior splash
 on such a line by cross products, the Segre variety of rank-one F_q
-matrices, the field-reduction congruence at one word, and the points of
-the CMP curve.  These use the package's field tables and
+matrices, the field-reduction congruence at one word, the points of
+the CMP curve, and Delsarte's closed-form distance distribution of an MRD
+code.  These use the package's field tables and
 scalar operations.  None reads points as exp-table windows of base rows,
 and only `rank` (a word's `column_rank` against the zero word, the tests'
 shorthand for that kernel) ranks through the pair kernel.
@@ -549,3 +550,32 @@ def curve_points(ctx):
     """All points of PG(2, q^3) on the curve X1 * X2^q - X3^(q+1) = 0."""
     _require_plane(ctx)
     return frozenset(p for p in proj_points_iter(ctx) if curve_equation_holds(ctx, p))
+
+
+# ----------------------------------------------------------------------
+# the distance distribution of an MRD code
+# ----------------------------------------------------------------------
+
+def gaussian_binomial(n, k, q):
+    """The number of k-dimensional subspaces of F_q^n."""
+    out = 1
+    for i in range(k):
+        out = out * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    return out
+
+
+def mrd_histogram(q, m, d):
+    """Unordered pairs per rank distance of any MRD code of m x m matrices
+    over F_q with minimum distance d, linear or not (Delsarte 1978,
+    *Bilinear forms over a finite field*, Thm 5.6): each of its
+    q^(m(m-d+1)) words has A_r others at rank distance r, where
+    A_r = [m, r]_q * sum_j (-1)^j q^(j(j-1)/2) [r, j]_q (q^(m(r-d-j+1)) - 1)
+    over j = 0..r-d."""
+    n = q ** (m * (m - d + 1))
+    hist = {}
+    for r in range(d, m + 1):
+        a_r = gaussian_binomial(m, r, q) * sum(
+            (-1) ** j * q ** (j * (j - 1) // 2) * gaussian_binomial(r, j, q)
+            * (q ** (m * (r - d - j + 1)) - 1) for j in range(r - d + 1))
+        hist[r] = n * a_r // 2
+    return hist

@@ -346,6 +346,7 @@ def test_distdist_of_file_without_components(tmp_path, capsys, f27):
     doc["components"] = []
     empty = tmp_path / "empty.json"
     codefile.write_json(empty, doc)
+    assert codefile.load_code(empty).has_orbit_structure()  # trivially: the orbit route
     code, text, err = run(capsys, "distdist", str(empty))
     assert (code, text, err) == (0, "rank,count\n", "")
 
@@ -385,21 +386,38 @@ def test_deeply_nested_file_exits_two(tmp_path, capsys, command):
     assert err.splitlines() == ["error: JSON nested too deeply"]
 
 
-def test_verify_tampered_orbit_falls_back_to_bruteforce(tmp_path, capsys, f27):
+def _tampered_family_file(tmp_path, ctx):
     # (2, 0, 2) lies at rank distance 1 from another PI word; the swap keeps
     # the PI component's size and generator but breaks its orbit closure
-    doc = codefile.code_to_dict(cd.build_family(f27, [2]))
+    doc = codefile.code_to_dict(cd.build_family(ctx, [2]))
     pi = next(c for c in doc["components"] if c["kind"] == "PI")
-    rep = codefile.word_to_lists(f27, cd.pi_generator(f27, 2))
+    rep = codefile.word_to_lists(ctx, cd.pi_generator(ctx, 2))
     i = max(k for k, w in enumerate(pi["words"]) if w != rep)
-    pi["words"][i] = codefile.word_to_lists(f27, (2, 0, 2))
+    pi["words"][i] = codefile.word_to_lists(ctx, (2, 0, 2))
     bad = tmp_path / "tampered.json"
     codefile.write_json(bad, doc)
+    return bad
+
+
+def test_verify_tampered_orbit_falls_back_to_bruteforce(tmp_path, capsys, f27):
+    bad = _tampered_family_file(tmp_path, f27)
     code, text, _ = run(capsys, "verify", str(bad), "--mode", "orbit")
     assert code == 1
     dist = json.loads(text)["distance"]
     assert dist["min_distance"] == 1
     assert dist["mode"] == "bruteforce"
+
+
+def test_distdist_of_tampered_file_ranks_every_pair(tmp_path, capsys, f27):
+    bad = _tampered_family_file(tmp_path, f27)
+    loaded = codefile.load_code(bad)
+    assert not loaded.has_orbit_structure()
+    copy = cd.RankCode.from_words(f27, loaded.words, loaded.claimed_distance)
+    code, text, _ = run(capsys, "distdist", str(bad), "--format", "json")
+    assert code == 0
+    hist = {int(r): c for r, c in json.loads(text)["histogram"].items()}
+    assert hist == cd.distance_distribution(copy)
+    assert hist[1] > 0 and hist != {2: 123201, 3: 142155}
 
 
 def test_verify_mislabelled_components_fail(tmp_path, capsys, f27):

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from dickson_mrd import cmp_family as cf
 from dickson_mrd import codefile
 from dickson_mrd import codes as cd
 from dickson_mrd import linforms as lf
@@ -421,6 +422,62 @@ def test_distance_distribution_invariant_under_aut(f27):
     )
     assert moved.size == fam.size
     assert cd.distance_distribution(moved) == FAMILY_HISTOGRAM_Q3M3
+
+
+def _all_pi_code(ctx):
+    """PI(a) for every a in F_q*, both axes and zero: orbit-tagged, with
+    rank-one words in PI(1), so not MRD."""
+    comps = [cd.kind_component(ctx, "PI", a) for a in ctx.fq_elems[1:]]
+    comps += [cd.kind_component(ctx, kind) for kind in ("A1", "A2", "ZERO")]
+    return cd.RankCode.assemble(ctx, 1, comps)
+
+
+# each orbit-tagged code with its histogram at (3,3)
+ORBIT_CODES = {
+    "family": (lambda ctx: cd.build_family(ctx, [2]), FAMILY_HISTOGRAM_Q3M3),
+    "curve_family": (lambda ctx: cf.build_cmp_family(ctx, [2]), FAMILY_HISTOGRAM_Q3M3),
+    "all_pi": (_all_pi_code, {1: 8619, 2: 129792, 3: 126945}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_CODES))
+def test_orbit_histogram_equals_bruteforce_on_a_word_copy(f27, name):
+    # a `from_words` copy has no orbit structure, so it ranks every pair
+    build, expected = ORBIT_CODES[name]
+    code = build(f27)
+    copy = cd.RankCode.from_words(f27, code.words, code.claimed_distance)
+    assert code.has_orbit_structure() and not copy.has_orbit_structure()
+    assert len({c.size for c in code.components}) > 2
+    assert cd.distance_distribution(code) == cd.distance_distribution(copy) == expected
+
+
+def test_orbit_histogram_ranks_only_the_orbit_scan_pairs(f27, monkeypatch):
+    fam = cd.build_family(f27, [2])
+    ranks = _count_calls(monkeypatch, "_rank_of")
+    assert cd.distance_distribution(fam) == FAMILY_HISTOGRAM_Q3M3
+    sizes = [c.size for c in fam.components]
+    assert len(ranks) == sum(sum(sizes[i + 1:]) + n - 1 for i, n in enumerate(sizes)) == 1196
+
+
+@pytest.mark.parametrize("fixture", ["f125", "f81", "f256"])
+def test_orbit_histogram_equals_delsarte(fixture, request):
+    ctx = request.getfixturevalue(fixture)
+    a = next(x for x in ctx.fq_elems if x not in (0, 1))
+    fam = cd.build_family(ctx, [a])
+    assert fam.has_orbit_structure()
+    assert cd.distance_distribution(fam) == ref.mrd_histogram(ctx.q, ctx.m, ctx.m - 1)
+
+
+def test_orbit_histogram_is_independent_of_the_split(f27, monkeypatch):
+    fam = cd.build_family(f27, [2])
+    serial = cd.distance_distribution(fam, threads=1)
+    assert cd.distance_distribution(fam, threads=2) == serial == FAMILY_HISTOGRAM_Q3M3
+    # 1000 shares, most of them empty, run in-process
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cd.os, "cpu_count", lambda: 1000)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    assert cd.distance_distribution(fam, threads=1000) == serial
+    assert _InlinePool.sizes == [1000]
 
 
 # ----------------------------------------------------------------------
